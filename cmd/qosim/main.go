@@ -477,6 +477,9 @@ func runNetworked(o *options, out io.Writer) error {
 		}
 	}
 	org.Dissolve("qosim done")
+	if err := n.Retire(svc.ID); err != nil {
+		return err
+	}
 	time.Sleep(500 * time.Millisecond) // let the dissolve reach the daemons
 
 	if o.compare {

@@ -12,10 +12,12 @@
 //   - internal/task      — services, tasks and demand models;
 //   - internal/core      — the contribution: proposal formulation,
 //     evaluation, winner selection, the Negotiation Organizer / QoS
-//     Provider state machines and the coalition life cycle;
+//     Provider state machines, the coalition life cycle, and the one
+//     node assembly (core.Host) every runtime embeds;
 //   - internal/sim, internal/radio — deterministic discrete-event engine
 //     and the simulated ad-hoc radio medium;
-//   - internal/live      — the same protocol over goroutines + channels;
+//   - internal/live, internal/net — the same host driven from
+//     goroutines + channels and from TCP sockets;
 //   - internal/baseline, internal/workload, internal/metrics,
 //     internal/xp — baselines, synthetic workloads and the experiment
 //     suite (E1–E16, run by a parallel sweep engine; see EXPERIMENTS.md).

@@ -29,32 +29,14 @@ type NodeSpec struct {
 	BatteryDrain float64
 }
 
-// Node is one simulated device: its resources, its QoS Provider, and any
-// organizers it runs for locally requested services.
+// Node is one simulated device: the shared Host (resources, QoS
+// Provider, organizers for locally requested services) attached to the
+// radio medium.
 type Node struct {
-	ID       radio.NodeID
-	Profile  string
-	Res      *resource.Set
-	Provider *Provider
-
-	tr         proto.Transport
-	organizers map[string]*Organizer
-	orgSink    func(svc string) proto.Sink // persistent lookup for proto.Dispatch
-	reliable   *proto.Reliable             // non-nil when the cluster retries
-	dedup      proto.Dedup                 // receiver-side duplicate filter
+	*Host
+	ID      radio.NodeID
+	Profile string
 }
-
-// Retransmissions reports the retry sends this node's reliability layer
-// issued (0 when retries are disabled).
-func (n *Node) Retransmissions() uint64 {
-	if n.reliable == nil {
-		return 0
-	}
-	return n.reliable.Retransmissions()
-}
-
-// Duplicates reports the sequenced deliveries this node suppressed.
-func (n *Node) Duplicates() uint64 { return n.dedup.Duplicates.Load() }
 
 // Cluster assembles the full simulated system on a discrete-event engine:
 // the radio medium, the node population, the shared application catalog,
@@ -63,8 +45,8 @@ type Cluster struct {
 	Eng     *sim.Engine
 	Medium  *radio.Medium
 	Catalog *Catalog
-	// Obs aggregates every hardening counter in the cluster: AddNode
-	// registers each node's retransmission, dedup and stale-release
+	// Obs aggregates every hardening counter in the cluster: each node's
+	// Host registers its retransmission, dedup and stale-release
 	// counters, and anything driving the cluster (the session engine)
 	// registers its own. One Snapshot covers them all, so no report has
 	// to loop over nodes summing fields by hand.
@@ -83,18 +65,11 @@ type Cluster struct {
 // NewCluster builds an empty cluster on a fresh engine.
 func NewCluster(seed int64, radioCfg radio.Config, providerCfg ProviderConfig) *Cluster {
 	eng := sim.New(seed)
-	reg := obs.NewRegistry()
-	// Pre-seed the canonical names so a snapshot's key set does not
-	// depend on which features a run enabled (retry off still reports
-	// proto.retransmissions = 0, keeping snapshots comparable).
-	reg.Counter(obs.Retransmissions)
-	reg.Counter(obs.Duplicates)
-	reg.Counter(obs.StaleReleases)
 	return &Cluster{
 		Eng:         eng,
 		Medium:      radio.NewMedium(eng, radioCfg),
 		Catalog:     NewCatalog(),
-		Obs:         reg,
+		Obs:         obs.NewRegistry(),
 		providerCfg: providerCfg,
 		nodes:       make(map[radio.NodeID]*Node),
 	}
@@ -123,32 +98,32 @@ func (t simTimers) After(d float64, fn func()) { t.eng.After(d, fn) }
 // local node bypass the radio (they model intra-node calls) and are
 // delivered on the next event-loop tick.
 type simTransport struct {
-	c  *Cluster
-	id radio.NodeID
+	c    *Cluster
+	id   radio.NodeID
+	host *Host // the node's own host, where self-sends land; set by AddNode
 }
 
-func (t simTransport) Self() radio.NodeID { return t.id }
+func (t *simTransport) Self() radio.NodeID { return t.id }
 
 // selfSend is one pending intra-node dispatch, pooled on the cluster.
 type selfSend struct {
-	c  *Cluster
-	at radio.NodeID
-	m  proto.Msg
+	t *simTransport
+	m proto.Msg
 }
 
 // runSelfSend is the shared event handler for every selfSend record.
 func runSelfSend(x any) {
 	s := x.(*selfSend)
-	c, at, m := s.c, s.at, s.m
-	s.m = nil
-	c.selfSends = append(c.selfSends, s)
-	c.dispatch(at, at, m)
+	t, m := s.t, s.m
+	s.t, s.m = nil, nil
+	t.c.selfSends = append(t.c.selfSends, s)
+	t.host.Deliver(t.id, m)
 }
 
 // Send implements proto.Transport. Modeled radio loss is not a send
 // error (see the Transport contract), so the sim transport always
 // returns nil.
-func (t simTransport) Send(to radio.NodeID, m proto.Msg) error {
+func (t *simTransport) Send(to radio.NodeID, m proto.Msg) error {
 	if to == t.id {
 		c := t.c
 		var s *selfSend
@@ -156,9 +131,9 @@ func (t simTransport) Send(to radio.NodeID, m proto.Msg) error {
 			s = c.selfSends[n-1]
 			c.selfSends = c.selfSends[:n-1]
 		} else {
-			s = &selfSend{c: c}
+			s = &selfSend{}
 		}
-		s.at, s.m = to, m
+		s.t, s.m = t, m
 		c.Eng.AfterArg(0, runSelfSend, s)
 		return nil
 	}
@@ -166,35 +141,25 @@ func (t simTransport) Send(to radio.NodeID, m proto.Msg) error {
 	return nil
 }
 
-func (t simTransport) Broadcast(m proto.Msg) error {
+func (t *simTransport) Broadcast(m proto.Msg) error {
 	t.c.Medium.SendBroadcast(t.id, m, m.WireSize())
 	return nil
 }
 
-func (t simTransport) CommCost(to radio.NodeID, size int64) float64 {
+func (t *simTransport) CommCost(to radio.NodeID, size int64) float64 {
 	if to == t.id {
 		return 0
 	}
 	return t.c.Medium.TxTime(t.id, to, size)
 }
 
-// AddNode creates a node, wires its provider to the medium, and returns it.
+// AddNode creates a node, wires its host to the medium, and returns it.
 func (c *Cluster) AddNode(spec NodeSpec) (*Node, error) {
 	if _, dup := c.nodes[spec.ID]; dup {
 		return nil, fmt.Errorf("core: node %d already exists", spec.ID)
 	}
-	n := &Node{
-		ID:         spec.ID,
-		Profile:    spec.Profile,
-		organizers: make(map[string]*Organizer),
-	}
-	n.orgSink = func(svc string) proto.Sink {
-		if o := n.organizers[svc]; o != nil {
-			return o
-		}
-		return nil // explicit nil interface, not a typed-nil *Organizer
-	}
 	var battery *resource.Battery
+	var res *resource.Set
 	if spec.BatteryDrain > 0 {
 		battery = resource.NewBattery(spec.Capacity[resource.Energy], spec.BatteryDrain)
 		managers := make([]resource.Manager, 0, resource.NumKinds)
@@ -205,31 +170,22 @@ func (c *Cluster) AddNode(spec NodeSpec) (*Node, error) {
 				managers = append(managers, resource.NewBucket(k, spec.Capacity[k]))
 			}
 		}
-		n.Res = resource.NewSetWith(managers...)
+		res = resource.NewSetWith(managers...)
 	} else {
-		n.Res = resource.NewSet(spec.Capacity)
+		res = resource.NewSet(spec.Capacity)
 	}
-	n.tr = simTransport{c: c, id: spec.ID}
-	if c.retry.Enabled() {
-		n.reliable = proto.NewReliable(n.tr, simTimers{c.Eng}, c.retry)
-		n.tr = n.reliable
-		c.Obs.Register(obs.Retransmissions, n.reliable.RetxCounter())
-	}
-	c.Obs.Register(obs.Duplicates, &n.dedup.Duplicates)
-	pcfg := c.providerCfg
-	pcfg.simTransport = true
-	n.Provider = NewProvider(spec.ID, n.Res, c.Catalog, n.tr, simTimers{c.Eng}, pcfg)
-	c.Obs.Register(obs.StaleReleases, &n.Provider.StaleReleases)
+	tr := &simTransport{c: c, id: spec.ID}
+	h := NewHost(tr, simTimers{c.Eng}, c.Catalog, c.Obs, res, c.providerCfg, c.retry)
+	tr.host = h
 	handler := func(from radio.NodeID, msg any) {
-		pm, ok := msg.(proto.Msg)
-		if !ok {
-			return
+		if pm, ok := msg.(proto.Msg); ok {
+			h.Deliver(from, pm)
 		}
-		c.dispatch(spec.ID, from, pm)
 	}
 	if err := c.Medium.Attach(spec.ID, spec.Mobility, spec.RangeM, spec.Bitrate, handler); err != nil {
 		return nil, err
 	}
+	n := &Node{Host: h, ID: spec.ID, Profile: spec.Profile}
 	c.nodes[spec.ID] = n
 	if battery != nil {
 		c.runBattery(spec.ID, battery)
@@ -256,17 +212,6 @@ func (c *Cluster) runBattery(id radio.NodeID, bat *resource.Battery) {
 	c.Eng.After(tick, loop)
 }
 
-// dispatch routes a delivered message through the shared receive
-// plumbing (proto.Dispatch): unwrap, dedup, then provider or the
-// organizer owning the service, mirroring the paper's role split.
-func (c *Cluster) dispatch(at, from radio.NodeID, m proto.Msg) {
-	n, ok := c.nodes[at]
-	if !ok {
-		return
-	}
-	proto.Dispatch(&n.dedup, from, m, n.orgSink, n.Provider)
-}
-
 // Node returns a node by ID, or nil.
 func (c *Cluster) Node(id radio.NodeID) *Node {
 	return c.nodes[id]
@@ -283,17 +228,10 @@ func (c *Cluster) Submit(at float64, node radio.NodeID, svc *task.Service, cfg O
 	if !ok {
 		return nil, fmt.Errorf("core: unknown node %d", node)
 	}
-	if err := c.Catalog.RegisterService(svc); err != nil {
-		return nil, err
-	}
-	if _, dup := n.organizers[svc.ID]; dup {
-		return nil, fmt.Errorf("core: node %d already organizes service %q", node, svc.ID)
-	}
-	o, err := NewOrganizer(svc, n.tr, simTimers{c.Eng}, cfg, onFormed)
+	o, err := n.Organize(svc, cfg, onFormed)
 	if err != nil {
 		return nil, err
 	}
-	n.organizers[svc.ID] = o
 	if at < c.Eng.Now() {
 		at = c.Eng.Now()
 	}
@@ -330,24 +268,14 @@ func (c *Cluster) RebootNode(id radio.NodeID) {
 	c.RecoverNode(id)
 }
 
-// RetireService forgets a dissolved organizer so long-running
-// open-system simulations do not grow a node's routing table without
-// bound. Retiring an organizer that is not Dissolved is an error: its
-// timers may still fire and would negotiate against a detached object.
+// RetireService forgets a dissolved organizer on the given node (see
+// Host.Retire).
 func (c *Cluster) RetireService(node radio.NodeID, svcID string) error {
 	n, ok := c.nodes[node]
 	if !ok {
 		return fmt.Errorf("core: unknown node %d", node)
 	}
-	o, ok := n.organizers[svcID]
-	if !ok {
-		return nil // already retired
-	}
-	if o.State() != Dissolved {
-		return fmt.Errorf("core: service %q on node %d is %v, not dissolved", svcID, node, o.State())
-	}
-	delete(n.organizers, svcID)
-	return nil
+	return n.Retire(svcID)
 }
 
 // Run drives the simulation until the horizon (0 = until idle).

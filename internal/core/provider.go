@@ -36,8 +36,9 @@ type ProviderConfig struct {
 	// in-engine transport, where a delivered message is consumed before
 	// the sender runs again. It lets the heartbeat loop reuse one message
 	// and task buffer per service instead of allocating per tick. Only
-	// Cluster.AddNode sets it; goroutine-backed transports (internal/live)
-	// must leave it false.
+	// NewHost sets it, when it is handed the cluster's in-engine
+	// transport; goroutine-backed transports (internal/live, internal/net)
+	// leave it false.
 	simTransport bool
 }
 

@@ -1,9 +1,9 @@
 // Package live runs the coalition formation protocol over real
 // concurrency: every node is a goroutine (the agent), radio links are
 // buffered channels, and latency is modeled with scaled wall-clock
-// timers. The protocol state machines are exactly the ones the simulator
-// runs (internal/core); only the transport and timers differ, which is
-// how experiment E10 checks runtime equivalence.
+// timers. Every node is the same core.Host the simulator and the TCP
+// runtime assemble; only the transport and timers differ, which is how
+// experiment E10 checks runtime equivalence.
 package live
 
 import (
@@ -73,38 +73,18 @@ type Runtime struct {
 	Obs *obs.Registry
 }
 
-// Node is one live agent.
+// Node is one live agent: the shared core.Host behind a channel inbox
+// drained by the node's own goroutine.
 type Node struct {
-	ID       radio.NodeID
-	Pos      radio.Pos
-	RangeM   float64
-	Bitrate  float64
-	Res      *resource.Set
-	Provider *core.Provider
+	*core.Host
+	ID   radio.NodeID
+	Link radio.Link
 
-	rt         *Runtime
-	inbox      chan envelope
-	quit       chan struct{}
-	done       chan struct{}
-	orgMu      sync.Mutex
-	organizers map[string]*core.Organizer
-	orgSink    func(svc string) proto.Sink // persistent lookup for proto.Dispatch
-	reliable   *proto.Reliable             // non-nil when cfg.Retry is enabled
-	dedup      proto.Dedup                 // touched only by the node's loop goroutine
+	rt    *Runtime
+	inbox chan envelope
+	quit  chan struct{}
+	done  chan struct{}
 }
-
-// transport returns the node's outbound transport: the shared reliability
-// wrapper when retries are on, the bare channel transport otherwise.
-func (n *Node) transport() proto.Transport {
-	if n.reliable != nil {
-		return n.reliable
-	}
-	return liveTransport{rt: n.rt, id: n.ID}
-}
-
-// Duplicates reports the sequenced deliveries this node suppressed. Call
-// after Shutdown (or quiesce) — the counter is owned by the loop goroutine.
-func (n *Node) Duplicates() uint64 { return n.dedup.Duplicates.Load() }
 
 // NewRuntime builds an empty runtime.
 func NewRuntime(cfg Config) *Runtime {
@@ -128,9 +108,6 @@ func NewRuntime(cfg Config) *Runtime {
 	rt.Obs.Register(obs.LiveDelivered, &rt.Delivered)
 	rt.Obs.Register(obs.LiveDropped, &rt.Dropped)
 	rt.Obs.Register(obs.LiveOverflows, &rt.Overflows)
-	rt.Obs.Counter(obs.Retransmissions)
-	rt.Obs.Counter(obs.Duplicates)
-	rt.Obs.Counter(obs.StaleReleases)
 	return rt
 }
 
@@ -173,7 +150,7 @@ func (t liveTransport) Broadcast(m proto.Msg) error {
 	var dests []*Node
 	if ok {
 		for _, n := range t.rt.nodes {
-			if n.ID != t.id && inRange(src, n) {
+			if n.ID != t.id && radio.LinkInRange(src.Link, n.Link) {
 				dests = append(dests, n)
 			}
 		}
@@ -193,15 +170,10 @@ func (t liveTransport) CommCost(to radio.NodeID, size int64) float64 {
 	defer t.rt.mu.RUnlock()
 	src, okA := t.rt.nodes[t.id]
 	dst, okB := t.rt.nodes[to]
-	if !okA || !okB || !inRange(src, dst) {
+	if !okA || !okB || !radio.LinkInRange(src.Link, dst.Link) {
 		return math.Inf(1)
 	}
-	rate := math.Min(src.Bitrate, dst.Bitrate)
-	return float64(size*8) / rate
-}
-
-func inRange(a, b *Node) bool {
-	return a.Pos.Dist(b.Pos) <= math.Min(a.RangeM, b.RangeM)
+	return radio.LinkLatency(src.Link, dst.Link, size, 0, 0)
 }
 
 // send models latency with a timer, then posts to the destination inbox.
@@ -217,12 +189,11 @@ func (rt *Runtime) send(from, to radio.NodeID, m proto.Msg) {
 	}
 	var latency float64 // virtual seconds
 	if from != to {
-		if !inRange(src, dst) {
+		if !radio.LinkInRange(src.Link, dst.Link) {
 			rt.Dropped.Add(1)
 			return
 		}
-		rate := math.Min(src.Bitrate, dst.Bitrate)
-		latency = float64(m.WireSize()*8) / rate
+		latency = radio.LinkLatency(src.Link, dst.Link, int64(m.WireSize()), 0, 0)
 	}
 	deliver := func() {
 		select {
@@ -254,35 +225,22 @@ func (rt *Runtime) AddNode(id radio.NodeID, pos radio.Pos, rangeM, bitrate float
 	if _, dup := rt.nodes[id]; dup {
 		return nil, fmt.Errorf("live: node %d already exists", id)
 	}
+	tr := liveTransport{rt: rt, id: id}
 	n := &Node{
-		ID: id, Pos: pos, RangeM: rangeM, Bitrate: bitrate,
-		Res:        resource.NewSet(capacity),
-		rt:         rt,
-		inbox:      make(chan envelope, rt.cfg.InboxDepth),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
-		organizers: make(map[string]*core.Organizer),
+		Host:  core.NewHost(tr, liveTimers{rt}, rt.catalog, rt.Obs, resource.NewSet(capacity), rt.cfg.Provider, rt.cfg.Retry),
+		ID:    id,
+		Link:  radio.Link{Pos: pos, RangeM: rangeM, Bitrate: bitrate},
+		rt:    rt,
+		inbox: make(chan envelope, rt.cfg.InboxDepth),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
-	n.orgSink = func(svc string) proto.Sink {
-		if o := n.organizer(svc); o != nil {
-			return o
-		}
-		return nil // explicit nil interface, not a typed-nil *core.Organizer
-	}
-	if rt.cfg.Retry.Enabled() {
-		n.reliable = proto.NewReliable(liveTransport{rt: rt, id: id}, liveTimers{rt}, rt.cfg.Retry)
-		rt.Obs.Register(obs.Retransmissions, n.reliable.RetxCounter())
-	}
-	rt.Obs.Register(obs.Duplicates, &n.dedup.Duplicates)
-	n.Provider = core.NewProvider(id, n.Res, rt.catalog, n.transport(), liveTimers{rt}, rt.cfg.Provider)
-	rt.Obs.Register(obs.StaleReleases, &n.Provider.StaleReleases)
 	rt.nodes[id] = n
 	go n.loop()
 	return n, nil
 }
 
-// loop is the agent goroutine: it drains the inbox and dispatches
-// messages to the provider or the owning organizer.
+// loop is the agent goroutine: it drains the inbox into the host.
 func (n *Node) loop() {
 	defer close(n.done)
 	for {
@@ -290,38 +248,18 @@ func (n *Node) loop() {
 		case <-n.quit:
 			return
 		case env := <-n.inbox:
-			n.dispatch(env.from, env.msg)
+			n.Deliver(env.from, env.msg)
 		}
 	}
-}
-
-func (n *Node) dispatch(from radio.NodeID, m proto.Msg) {
-	proto.Dispatch(&n.dedup, from, m, n.orgSink, n.Provider)
-}
-
-func (n *Node) organizer(svc string) *core.Organizer {
-	n.orgMu.Lock()
-	defer n.orgMu.Unlock()
-	return n.organizers[svc]
 }
 
 // Submit starts a negotiation from this node; onFormed fires on each
 // completed (re)formation attempt, from a timer goroutine.
 func (n *Node) Submit(svc *task.Service, cfg core.OrganizerConfig, onFormed func(*core.Result)) (*core.Organizer, error) {
-	if err := n.rt.catalog.RegisterService(svc); err != nil {
-		return nil, err
-	}
-	o, err := core.NewOrganizer(svc, n.transport(), liveTimers{n.rt}, cfg, onFormed)
+	o, err := n.Organize(svc, cfg, onFormed)
 	if err != nil {
 		return nil, err
 	}
-	n.orgMu.Lock()
-	if _, dup := n.organizers[svc.ID]; dup {
-		n.orgMu.Unlock()
-		return nil, fmt.Errorf("live: node %d already organizes %q", n.ID, svc.ID)
-	}
-	n.organizers[svc.ID] = o
-	n.orgMu.Unlock()
 	o.Start()
 	return o, nil
 }

@@ -121,18 +121,6 @@ func TestLiveDuplicateNodeRejected(t *testing.T) {
 	}
 }
 
-func TestLiveDuplicateServiceRejected(t *testing.T) {
-	rt := buildRuntime(t)
-	svc := workload.StreamService("dup", 1, 1.0)
-	if _, err := rt.Node(0).Submit(svc, core.DefaultOrganizerConfig, nil); err != nil {
-		t.Fatal(err)
-	}
-	svc2 := workload.StreamService("dup", 1, 1.0)
-	if _, err := rt.Node(0).Submit(svc2, core.DefaultOrganizerConfig, nil); err == nil {
-		t.Error("duplicate service accepted")
-	}
-}
-
 func TestLiveOutOfRangeNodesExcluded(t *testing.T) {
 	rt := NewRuntime(Config{TimeScale: 0.01, Provider: core.DefaultProviderConfig})
 	defer rt.Shutdown()
@@ -247,7 +235,7 @@ func TestLiveRetryFormsAndDeduplicates(t *testing.T) {
 	var retx, dups uint64
 	for i := range profiles {
 		n := rt.Node(radio.NodeID(i))
-		retx += n.reliable.Retransmissions()
+		retx += n.Retransmissions()
 		dups += n.Duplicates()
 	}
 	if retx == 0 {

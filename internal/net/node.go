@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/qos"
 	"repro/internal/radio"
@@ -27,24 +26,13 @@ type NodeConfig struct {
 	Retry proto.RetryConfig
 }
 
-// Node is one networked device: an Endpoint, the node's resources and
-// QoS Provider, and any organizers it runs for locally requested
-// services. It is the TCP sibling of core.Node and live.Node, built on
-// the same state machines and the same shared dispatch plumbing.
+// Node is one networked device: the shared core.Host — the assembly
+// the simulator and the goroutine runtime also run — driven by an
+// Endpoint's inbox, plus the catalog push that stands in for the
+// out-of-band catalog the in-process runtimes share.
 type Node struct {
+	*core.Host
 	Endpoint *Endpoint
-	Res      *resource.Set
-	Provider *core.Provider
-
-	catalog  *core.Catalog
-	tr       proto.Transport
-	tm       proto.Timers
-	reliable *proto.Reliable
-
-	orgMu      sync.Mutex
-	organizers map[string]*core.Organizer
-	orgSink    func(svc string) proto.Sink
-	dedup      proto.Dedup
 
 	quit     chan struct{}
 	done     chan struct{}
@@ -55,36 +43,13 @@ type Node struct {
 // NewNode builds a node; Start brings it onto the fabric.
 func NewNode(cfg NodeConfig) *Node {
 	ep := NewEndpoint(cfg.Endpoint)
-	n := &Node{
-		Endpoint:   ep,
-		Res:        resource.NewSet(ep.cfg.Capacity),
-		catalog:    core.NewCatalog(),
-		tm:         ep.Timers(),
-		organizers: make(map[string]*core.Organizer),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
+	return &Node{
+		Host:     core.NewHost(ep, ep.Timers(), core.NewCatalog(), ep.Obs(), resource.NewSet(ep.cfg.Capacity), cfg.Provider, cfg.Retry),
+		Endpoint: ep,
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	n.orgSink = func(svc string) proto.Sink {
-		if o := n.organizer(svc); o != nil {
-			return o
-		}
-		return nil // explicit nil interface, not a typed-nil *core.Organizer
-	}
-	n.tr = ep
-	if cfg.Retry.Enabled() {
-		n.reliable = proto.NewReliable(ep, n.tm, cfg.Retry)
-		n.tr = n.reliable
-		ep.Obs().Register(obs.Retransmissions, n.reliable.RetxCounter())
-	}
-	ep.Obs().Register(obs.Duplicates, &n.dedup.Duplicates)
-	n.Provider = core.NewProvider(ep.Self(), n.Res, n.catalog, n.tr, n.tm, cfg.Provider)
-	ep.Obs().Register(obs.StaleReleases, &n.Provider.StaleReleases)
-	return n
 }
-
-// Catalog exposes the node's application catalog, for pre-seeding
-// specs and demand models out of band.
-func (n *Node) Catalog() *core.Catalog { return n.catalog }
 
 // Start begins listening (when a listen address is configured) and
 // starts the dispatch loop.
@@ -125,41 +90,39 @@ func (n *Node) loop() {
 	}
 }
 
-// handle is the node's receive path: unwrap and dedup once, apply
-// fabric control messages, and push everything else through the shared
-// protocol dispatch.
+// handle is the node's receive path: fabric control messages are
+// applied here, everything else goes to the host. A catalog push skips
+// the dedup window: applying one twice is a no-op.
 func (n *Node) handle(from radio.NodeID, m proto.Msg) {
-	inner, seq := proto.Unwrap(m)
-	if n.dedup.Duplicate(from, seq) {
-		return
-	}
+	inner, _ := proto.Unwrap(m)
 	if cu, ok := inner.(*proto.CatalogUpdate); ok {
 		n.applyCatalog(cu)
 		return
 	}
-	proto.Dispatch(&n.dedup, from, inner, n.orgSink, n.Provider)
+	n.Deliver(from, m)
 }
 
 // applyCatalog installs pushed specs and demand models, idempotently:
 // entries already present are kept (first registration wins, matching
 // core.Catalog.RegisterService).
 func (n *Node) applyCatalog(cu *proto.CatalogUpdate) {
+	cat := n.Catalog()
 	for _, raw := range cu.Specs {
 		s, err := qos.DecodeSpec(raw)
 		if err != nil {
 			n.Endpoint.emit("catalog-error", fmt.Sprintf("bad spec: %v", err))
 			continue
 		}
-		if _, ok := n.catalog.Spec(s.Name); ok {
+		if _, ok := cat.Spec(s.Name); ok {
 			continue
 		}
-		if err := n.catalog.AddSpec(s); err != nil {
+		if err := cat.AddSpec(s); err != nil {
 			n.Endpoint.emit("catalog-error", err.Error())
 		}
 	}
 	for i := range cu.Demands {
 		d := &cu.Demands[i]
-		if _, ok := n.catalog.Demand(d.Ref); ok {
+		if _, ok := cat.Demand(d.Ref); ok {
 			continue
 		}
 		ld := &task.LinearDemand{Base: d.Base}
@@ -169,7 +132,7 @@ func (n *Node) applyCatalog(cu *proto.CatalogUpdate) {
 				ld.Coef[qos.AttrKey{Dim: c.Dim, Attr: c.Attr}] = c.Vec
 			}
 		}
-		if err := n.catalog.AddDemand(d.Ref, ld); err != nil {
+		if err := cat.AddDemand(d.Ref, ld); err != nil {
 			n.Endpoint.emit("catalog-error", err.Error())
 		}
 	}
@@ -180,6 +143,9 @@ func (n *Node) applyCatalog(cu *proto.CatalogUpdate) {
 // Only task.LinearDemand crosses the wire; other models would need
 // their own serialization.
 func CatalogUpdateFor(svc *task.Service) (*proto.CatalogUpdate, error) {
+	if err := svc.Validate(); err != nil {
+		return nil, err
+	}
 	raw, err := qos.EncodeSpec(svc.Spec)
 	if err != nil {
 		return nil, err
@@ -222,37 +188,17 @@ func CatalogUpdateFor(svc *task.Service) (*proto.CatalogUpdate, error) {
 // alike. onFormed fires on each completed (re)formation attempt, from a
 // timer goroutine.
 func (n *Node) Submit(svc *task.Service, cfg core.OrganizerConfig, onFormed func(*core.Result)) (*core.Organizer, error) {
-	if err := n.catalog.RegisterService(svc); err != nil {
+	cu, err := CatalogUpdateFor(svc)
+	if err != nil {
 		return nil, err
 	}
-	cu, err := CatalogUpdateFor(svc)
+	o, err := n.Organize(svc, cfg, onFormed)
 	if err != nil {
 		return nil, err
 	}
 	// Push errors are advisory: a dead daemon simply won't propose, and
 	// the endpoint already counted and traced the failure.
 	_ = n.Endpoint.Broadcast(cu)
-	o, err := core.NewOrganizer(svc, n.tr, n.tm, cfg, onFormed)
-	if err != nil {
-		return nil, err
-	}
-	n.orgMu.Lock()
-	if _, dup := n.organizers[svc.ID]; dup {
-		n.orgMu.Unlock()
-		return nil, fmt.Errorf("net: node %d already organizes %q", n.Endpoint.Self(), svc.ID)
-	}
-	n.organizers[svc.ID] = o
-	n.orgMu.Unlock()
 	o.Start()
 	return o, nil
 }
-
-func (n *Node) organizer(svc string) *core.Organizer {
-	n.orgMu.Lock()
-	defer n.orgMu.Unlock()
-	return n.organizers[svc]
-}
-
-// Duplicates reports the sequenced deliveries this node suppressed.
-// Call after Close — the window is owned by the loop goroutine.
-func (n *Node) Duplicates() uint64 { return n.dedup.Duplicates.Load() }

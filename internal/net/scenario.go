@@ -11,22 +11,21 @@ import (
 )
 
 // This file pins the interop scenario shared by the qosnoded daemon,
-// qosim's client mode, and experiment E28: a fixed grid of profiled
-// nodes that can be instantiated identically on the discrete-event
-// simulator and on the TCP fabric, so allocations are comparable
-// across runtimes. It deliberately mirrors experiment E10's
-// neighbourhood (the live-runtime equivalence experiment).
+// qosim's client mode, and experiments E10 and E28: a fixed grid of
+// profiled nodes that can be instantiated identically on the
+// discrete-event simulator, the goroutine runtime and the TCP fabric,
+// so allocations are comparable across runtimes.
 
 // InteropSpacing is the grid pitch of the interop topology, meters.
 const InteropSpacing = 10.0
 
 // InteropProcDelay is the per-hop processing delay of the interop
-// communication-cost model, seconds (matches E10's radio config).
+// communication-cost model, seconds.
 const InteropProcDelay = 0.001
 
 // InteropProfile returns the device profile of node i in the interop
-// topology: the same phone/PDA/laptop rotation as experiment E10,
-// repeated for larger populations.
+// topology: a phone/PDA/laptop rotation, repeated for larger
+// populations.
 func InteropProfile(i int) workload.Profile {
 	rot := []workload.Profile{
 		workload.Phone, workload.PDA, workload.Laptop,

@@ -11,13 +11,14 @@ import (
 	"repro/internal/radio"
 )
 
-// E28 parameters: the E10 neighbourhood (six profiled nodes on a 10 m
-// grid) negotiated over real TCP loopback sockets instead of the
-// simulated radio or the goroutine runtime.
+// The interop scenario E10 and E28 share (internal/net's scenario
+// helpers): six profiled nodes on a 10 m grid negotiating a three-task
+// stream. E10 runs it on the goroutine runtime, E28 over real TCP
+// loopback sockets, both against the simulator.
 const (
-	e28Total     = 6
-	e28Tasks     = 3
-	e28Scale     = 1.0
+	interopTotal = 6
+	interopTasks = 3
+	interopScale = 1.0
 	e28TimeScale = 0.05 // wall seconds per virtual second; generous for CI
 )
 
@@ -33,9 +34,9 @@ func e28Fleet() (org *qnet.Node, daemons []*qnet.Node, err error) {
 			org.Close()
 		}
 	}
-	for i := 1; i < e28Total; i++ {
+	for i := 1; i < interopTotal; i++ {
 		d := qnet.NewNode(qnet.NodeConfig{
-			Endpoint: qnet.InteropEndpointConfig(radio.NodeID(i), e28Total, "127.0.0.1:0", e28TimeScale),
+			Endpoint: qnet.InteropEndpointConfig(radio.NodeID(i), interopTotal, "127.0.0.1:0", e28TimeScale),
 			Provider: core.DefaultProviderConfig,
 			Retry:    proto.DefaultRetryConfig,
 		})
@@ -46,7 +47,7 @@ func e28Fleet() (org *qnet.Node, daemons []*qnet.Node, err error) {
 		daemons = append(daemons, d)
 	}
 	org = qnet.NewNode(qnet.NodeConfig{
-		Endpoint: qnet.InteropEndpointConfig(0, e28Total, "", e28TimeScale),
+		Endpoint: qnet.InteropEndpointConfig(0, interopTotal, "", e28TimeScale),
 		Provider: core.DefaultProviderConfig,
 		Retry:    proto.DefaultRetryConfig,
 	})
@@ -83,7 +84,8 @@ func e28Run(kill radio.NodeID) (res *core.Result, ledgersEmpty bool, err error) 
 	}()
 
 	ch := make(chan *core.Result, 4)
-	o, err := org.Submit(qnet.InteropService(e28Tasks, e28Scale), core.DefaultOrganizerConfig, func(r *core.Result) {
+	svc := qnet.InteropService(interopTasks, interopScale)
+	o, err := org.Submit(svc, core.DefaultOrganizerConfig, func(r *core.Result) {
 		select {
 		case ch <- r:
 		default:
@@ -104,6 +106,9 @@ func e28Run(kill radio.NodeID) (res *core.Result, ledgersEmpty bool, err error) 
 	}
 
 	o.Dissolve("e28 done")
+	if err := org.Retire(svc.ID); err != nil {
+		return nil, false, err
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for !ledgersEmpty && time.Now().Before(deadline) {
 		ledgersEmpty = true
@@ -163,7 +168,7 @@ func E28InteropTCP(cfg Config) (*metrics.Table, error) {
 	// contend for CPU, so this experiment always runs sequentially.
 	cfg.Parallel = 1
 	acc, err := sweep(cfg, reps, []int{0}, func(_ int, rep Rep) ([]float64, error) {
-		simRes, err := qnet.InteropSim(rep.Seed, e28Total, e28Tasks, e28Scale)
+		simRes, err := qnet.InteropSim(rep.Seed, interopTotal, interopTasks, interopScale)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +177,7 @@ func E28InteropTCP(cfg Config) (*metrics.Table, error) {
 			return nil, err
 		}
 		same := 0.0
-		if sameAssignment(simRes, tcpRes) {
+		if qnet.SameAssignment(simRes, tcpRes) {
 			same = 1
 		}
 		kill := e28KillTarget(simRes)

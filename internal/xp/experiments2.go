@@ -2,11 +2,11 @@ package xp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/metrics"
+	qnet "repro/internal/net"
 	"repro/internal/qos"
 	"repro/internal/radio"
 	"repro/internal/workload"
@@ -333,7 +333,7 @@ func E10LiveVsSim(cfg Config) (*metrics.Table, error) {
 	// and time them out, so this experiment always runs sequentially.
 	cfg.Parallel = 1
 	acc, err := sweep(cfg, reps, []int{0}, func(_ int, rep Rep) ([]float64, error) {
-		simRes, err := e10Sim(rep.Seed)
+		simRes, err := qnet.InteropSim(rep.Seed, interopTotal, interopTasks, interopScale)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +342,7 @@ func E10LiveVsSim(cfg Config) (*metrics.Table, error) {
 			return nil, err
 		}
 		same := 0.0
-		if sameAssignment(simRes, liveRes) {
+		if qnet.SameAssignment(simRes, liveRes) {
 			same = 1
 		}
 		return []float64{
@@ -369,54 +369,26 @@ func E10LiveVsSim(cfg Config) (*metrics.Table, error) {
 	return t, nil
 }
 
-func e10Profiles() []workload.Profile {
-	return []workload.Profile{
-		workload.Phone, workload.PDA, workload.Laptop,
-		workload.PDA, workload.Laptop, workload.Phone,
-	}
-}
-
-func e10Sim(seed int64) (*core.Result, error) {
-	cl := core.NewCluster(seed, radio.Config{ProcDelay: 0.001}, core.DefaultProviderConfig)
-	for i, p := range e10Profiles() {
-		if _, err := cl.AddNode(workload.NodeSpecFor(radio.NodeID(i), p, core.GridPlacement(i, 6, 10))); err != nil {
-			return nil, err
-		}
-	}
-	svc := workload.StreamService("e10", 3, 1.0)
-	var res *core.Result
-	if _, err := cl.Submit(0, 0, svc, core.DefaultOrganizerConfig, func(r *core.Result) {
-		if res == nil {
-			res = r
-		}
-	}); err != nil {
-		return nil, err
-	}
-	cl.Run(5)
-	if res == nil {
-		return nil, fmt.Errorf("xp: e10 sim formation incomplete")
-	}
-	return res, nil
-}
-
 func e10Live(seed int64) (*core.Result, error) {
 	rt := live.NewRuntime(live.Config{TimeScale: 0.02, Provider: core.DefaultProviderConfig})
 	defer rt.Shutdown()
-	for i, p := range e10Profiles() {
-		pos := core.GridPlacement(i, 6, 10)
+	for i := 0; i < interopTotal; i++ {
+		p := qnet.InteropProfile(i)
+		pos := core.GridPlacement(i, interopTotal, qnet.InteropSpacing)
 		if _, err := rt.AddNode(radio.NodeID(i), radio.Pos(pos), p.RangeM, p.Bitrate, p.Capacity); err != nil {
 			return nil, err
 		}
 	}
-	svc := workload.StreamService("e10", 3, 1.0)
+	svc := qnet.InteropService(interopTasks, interopScale)
 	ch := make(chan *core.Result, 4)
 	n0 := rt.Node(0)
-	if _, err := n0.Submit(svc, core.DefaultOrganizerConfig, func(r *core.Result) {
+	o, err := n0.Submit(svc, core.DefaultOrganizerConfig, func(r *core.Result) {
 		select {
 		case ch <- r:
 		default:
 		}
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	// The negotiation needs ProposalWait+AckWait per round; wait out a
@@ -425,26 +397,11 @@ func e10Live(seed int64) (*core.Result, error) {
 	for i := 0; i < deadline; i++ {
 		select {
 		case r := <-ch:
-			return r, nil
+			o.Dissolve("e10 done")
+			return r, n0.Retire(svc.ID)
 		default:
 			rt.VirtualSleep(0.05)
 		}
 	}
 	return nil, fmt.Errorf("xp: e10 live formation timed out")
-}
-
-func sameAssignment(a, b *core.Result) bool {
-	if len(a.Assigned) != len(b.Assigned) {
-		return false
-	}
-	for tid, aa := range a.Assigned {
-		ba, ok := b.Assigned[tid]
-		if !ok || ba.Node != aa.Node {
-			return false
-		}
-		if math.Abs(ba.Distance-aa.Distance) > 1e-9 {
-			return false
-		}
-	}
-	return true
 }
