@@ -713,8 +713,7 @@ func degradationStops(cp *core.CompiledProblem) []pathStop {
 
 // nodeUtil is a node's maximum per-kind utilisation (1 - avail/cap).
 func (e *Engine) nodeUtil(id radio.NodeID) float64 {
-	res := e.cl.Node(id).Res
-	cap, avail := res.Capacity(), res.Available()
+	cap, avail := e.cl.Node(id).Res.Usage()
 	var util float64
 	for k := range cap {
 		if cap[k] <= 0 {
@@ -877,8 +876,7 @@ func (e *Engine) upgradeStep(now float64, st *state, ts *taskState) bool {
 	if err != nil {
 		return false
 	}
-	res := e.cl.Node(ts.node).Res
-	cap, avail := res.Capacity(), res.Available()
+	cap, avail := e.cl.Node(ts.node).Res.Usage()
 	for k := range cap {
 		if cap[k] <= 0 {
 			continue

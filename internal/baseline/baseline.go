@@ -299,7 +299,7 @@ func (Optimal) Name() string { return "optimal-bnb" }
 
 // bnbNode is the branch-and-bound's exact replica of one node's scratch
 // resource state. It performs the same admission comparisons as
-// resource.Bucket/Set (CanReserve: available < demand; Reserve:
+// resource.Set (CanReserve: available < demand; Reserve:
 // reserved+demand > capacity, per kind) and accumulates per-kind
 // reservations in task order, so any search prefix sees bit-identical
 // availability to the enumerator's fresh per-leaf scratch sets — but

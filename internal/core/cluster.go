@@ -22,8 +22,8 @@ type NodeSpec struct {
 	Capacity resource.Vector
 	// Profile is a display name ("phone", "laptop", ...).
 	Profile string
-	// BatteryDrain, when positive, replaces the Energy bucket with a
-	// draining battery (capacity units per simulated second). A node
+	// BatteryDrain, when positive, drains the Energy capacity like a
+	// battery (capacity units per simulated second). A node
 	// whose battery empties goes down (radio off, provider silent) and
 	// the operation-phase monitor treats it as failed.
 	BatteryDrain float64
@@ -158,22 +158,7 @@ func (c *Cluster) AddNode(spec NodeSpec) (*Node, error) {
 	if _, dup := c.nodes[spec.ID]; dup {
 		return nil, fmt.Errorf("core: node %d already exists", spec.ID)
 	}
-	var battery *resource.Battery
-	var res *resource.Set
-	if spec.BatteryDrain > 0 {
-		battery = resource.NewBattery(spec.Capacity[resource.Energy], spec.BatteryDrain)
-		managers := make([]resource.Manager, 0, resource.NumKinds)
-		for _, k := range resource.Kinds() {
-			if k == resource.Energy {
-				managers = append(managers, battery)
-			} else {
-				managers = append(managers, resource.NewBucket(k, spec.Capacity[k]))
-			}
-		}
-		res = resource.NewSetWith(managers...)
-	} else {
-		res = resource.NewSet(spec.Capacity)
-	}
+	res := resource.NewSet(spec.Capacity)
 	tr := &simTransport{c: c, id: spec.ID}
 	h := NewHost(tr, simTimers{c.Eng}, c.Catalog, c.Obs, res, c.providerCfg, c.retry)
 	tr.host = h
@@ -187,23 +172,27 @@ func (c *Cluster) AddNode(spec NodeSpec) (*Node, error) {
 	}
 	n := &Node{Host: h, ID: spec.ID, Profile: spec.Profile}
 	c.nodes[spec.ID] = n
-	if battery != nil {
-		c.runBattery(spec.ID, battery)
+	if spec.BatteryDrain > 0 {
+		c.runBattery(spec.ID, res, spec.BatteryDrain)
 	}
 	return n, nil
 }
 
-// runBattery drains the node's battery once per simulated second and
-// takes the node off the air when it empties.
-func (c *Cluster) runBattery(id radio.NodeID, bat *resource.Battery) {
+// runBattery drains the node's Energy capacity by drain units once per
+// simulated second and takes the node off the air when it empties.
+func (c *Cluster) runBattery(id radio.NodeID, res *resource.Set, drain float64) {
 	const tick = 1.0
 	var loop func()
 	loop = func() {
 		if c.Medium.Down(id) {
 			return // failed by other means; stop draining
 		}
-		bat.Drain(tick)
-		if bat.Capacity() <= 0 {
+		left := res.Capacity()[resource.Energy] - drain*tick
+		if left < 0 {
+			left = 0
+		}
+		res.SetCapacity(resource.Energy, left)
+		if left == 0 {
 			c.FailNode(id)
 			return
 		}

@@ -101,6 +101,8 @@ type serviceState struct {
 	hbActive     bool
 	hbTick       func()           // persistent heartbeat closure, built once
 	hbMsg        *proto.Heartbeat // reused message (simTransport only)
+	hbTasks      []string         // running's keys, sorted; rebuilt when hbStale
+	hbStale      bool             // running changed since hbTasks was built
 }
 
 // Provider is the paper's QoS Provider: "a server that negotiates access
@@ -401,41 +403,34 @@ func (p *Provider) onTaskData(from radio.NodeID, m *proto.TaskData) {
 		p.mu.Unlock()
 		return
 	}
-	st.running[m.TaskID] = true
-	start := p.armHeartbeatLocked(st)
+	st.running[m.TaskID], st.hbStale = true, true
+	tick := p.armHeartbeatLocked(m.ServiceID, st)
 	p.mu.Unlock()
-	if start {
-		p.heartbeatLoop(m.ServiceID)
+	if tick != nil {
+		p.tm.After(p.cfg.HeartbeatEvery, tick)
 	}
 }
 
 // armHeartbeatLocked marks the service's heartbeat loop active if it
-// should start; the caller must hold p.mu and, on true, call
-// heartbeatLoop after unlocking.
-func (p *Provider) armHeartbeatLocked(st *serviceState) bool {
+// should start and returns its tick (nil when it should not); the caller
+// must hold p.mu and schedule the tick after unlocking.
+func (p *Provider) armHeartbeatLocked(svc string, st *serviceState) func() {
 	if p.cfg.HeartbeatEvery <= 0 || st.hbActive {
-		return false
+		return nil
 	}
 	st.hbActive = true
-	return true
-}
-
-func (p *Provider) heartbeatLoop(svc string) {
-	p.mu.Lock()
-	st, ok := p.services[svc]
-	if !ok {
-		p.mu.Unlock()
-		return
-	}
 	if st.hbTick == nil {
 		// One closure per service for its whole life, not one per tick.
 		st.hbTick = func() { p.heartbeatTick(svc) }
 	}
-	fn := st.hbTick
-	p.mu.Unlock()
-	p.tm.After(p.cfg.HeartbeatEvery, fn)
+	return st.hbTick
 }
 
+// heartbeatTick sends one heartbeat and re-arms, send before timer. The
+// state is looked up by name on every tick: a service released and formed
+// again under the same ID keeps being served by the loop already running.
+// Its hbTick is set by then: a task is only ever marked running in the
+// lock section that arms the loop.
 func (p *Provider) heartbeatTick(svc string) {
 	p.mu.Lock()
 	st, ok := p.services[svc]
@@ -446,26 +441,36 @@ func (p *Provider) heartbeatTick(svc string) {
 		p.mu.Unlock()
 		return
 	}
-	var msg *proto.Heartbeat
-	if p.cfg.simTransport {
-		// The in-engine transport reads WireSize at send time and the
-		// organizer end consumes only ServiceID, so one message and task
-		// buffer per service is observably identical to fresh copies.
-		if st.hbMsg == nil {
-			st.hbMsg = &proto.Heartbeat{ServiceID: svc}
+	if st.hbStale {
+		// The task list is rebuilt only when running changed, sorted so
+		// the encoded frame does not depend on map iteration order. A
+		// goroutine-backed receiver may still be reading the last list,
+		// so only the in-engine transport reuses its backing array.
+		ids := st.hbTasks[:0]
+		if !p.cfg.simTransport {
+			ids = make([]string, 0, len(st.running))
 		}
-		msg = st.hbMsg
-		msg.TaskIDs = msg.TaskIDs[:0]
-	} else {
-		msg = &proto.Heartbeat{ServiceID: svc, TaskIDs: make([]string, 0, len(st.running))}
+		for tid := range st.running {
+			ids = append(ids, tid)
+		}
+		sort.Strings(ids)
+		st.hbTasks, st.hbStale = ids, false
 	}
-	for tid := range st.running {
-		msg.TaskIDs = append(msg.TaskIDs, tid)
+	msg := st.hbMsg
+	if msg == nil {
+		msg = &proto.Heartbeat{ServiceID: svc}
+		if p.cfg.simTransport {
+			// The in-engine transport reads WireSize at send time and the
+			// organizer end consumes only ServiceID, so one message per
+			// service is observably identical to fresh copies.
+			st.hbMsg = msg
+		}
 	}
-	org := st.organizer
+	msg.TaskIDs = st.hbTasks
+	org, tick := st.organizer, st.hbTick
 	p.mu.Unlock()
 	p.tr.Send(org, msg)
-	p.heartbeatLoop(svc)
+	p.tm.After(p.cfg.HeartbeatEvery, tick)
 }
 
 // onTaskRelease frees one task's reservation without touching the rest
@@ -489,6 +494,7 @@ func (p *Provider) onTaskRelease(_ radio.NodeID, m *proto.TaskRelease) {
 			id = entry.id
 			delete(st.reservations, m.TaskID)
 			delete(st.running, m.TaskID)
+			st.hbStale = true
 		}
 	}
 	p.mu.Unlock()
@@ -519,11 +525,11 @@ func (p *Provider) AdoptReservation(org radio.NodeID, svc, tid string, demand re
 	// Adoption happens outside a protocol round; round 0 means any
 	// round-stamped release may free it.
 	st.reservations[tid] = reservationEntry{id: id}
-	st.running[tid] = true
-	start := p.armHeartbeatLocked(st)
+	st.running[tid], st.hbStale = true, true
+	tick := p.armHeartbeatLocked(svc, st)
 	p.mu.Unlock()
-	if start {
-		p.heartbeatLoop(svc)
+	if tick != nil {
+		p.tm.After(p.cfg.HeartbeatEvery, tick)
 	}
 	if p.traceOn {
 		p.emit("adopt", fmt.Sprintf("service %s task %s: adopted at demand %v", svc, tid, demand))
@@ -533,10 +539,9 @@ func (p *Provider) AdoptReservation(org radio.NodeID, svc, tid string, demand re
 
 // ResizeReservation swaps one task's firm reservation for the same task
 // at a new demand — a mid-session degrade (smaller demand) or upgrade
-// (larger demand). The swap is exact: the old reservation is released
-// and the new one placed under the same ID within one event, and on an
-// upgrade that no longer fits the old reservation is restored, so the
-// ledger never drifts whatever the outcome.
+// (larger demand). The swap is exact (resource.Set.Resize): on an upgrade
+// that no longer fits the old reservation stays as it was, so the ledger
+// never drifts whatever the outcome.
 func (p *Provider) ResizeReservation(svc, tid string, demand resource.Vector) error {
 	p.mu.Lock()
 	st, ok := p.services[svc]
@@ -550,14 +555,7 @@ func (p *Provider) ResizeReservation(svc, tid string, demand resource.Vector) er
 	if !ok {
 		return fmt.Errorf("core: node %d holds no reservation for %s/%s", p.ID, svc, tid)
 	}
-	old := p.Res.Release(id)
-	if err := p.Res.Reserve(id, demand); err != nil {
-		if rerr := p.Res.Reserve(id, old); rerr != nil {
-			return fmt.Errorf("core: resize rollback failed on node %d for %s/%s: %v (after %w)", p.ID, svc, tid, rerr, err)
-		}
-		return err
-	}
-	return nil
+	return p.Res.Resize(id, demand)
 }
 
 // DropTask releases one task's reservation and state directly, without a
@@ -575,6 +573,7 @@ func (p *Provider) DropTask(svc, tid string) {
 			id = entry.id
 			delete(st.reservations, tid)
 			delete(st.running, tid)
+			st.hbStale = true
 		}
 	}
 	p.mu.Unlock()

@@ -7,8 +7,10 @@
 package radio
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -193,15 +195,17 @@ type Medium struct {
 	eng   *sim.Engine
 	cfg   Config
 	nodes map[NodeID]*nodeState
+	// sorted holds the same nodes in ascending ID order. Broadcasts and
+	// neighbor scans walk it, so receivers — and with them the loss and
+	// fault draws — come in ID order without a sort per call.
+	sorted []*nodeState
+	// ids caches the ascending node-ID list; invalidated by Attach.
+	ids []NodeID
 
 	// deliveries is a free-list of in-flight delivery records, recycled
 	// when their event fires: one pooled object per message instead of
 	// one closure allocation per send.
 	deliveries []*delivery
-	// bcast is the reused neighbor scratch for SendBroadcast.
-	bcast []NodeID
-	// ids caches the ascending node-ID list; invalidated by Attach.
-	ids []NodeID
 
 	// interceptor, when set, rules on every otherwise-successful
 	// delivery (fault injection); nil costs one predictable branch.
@@ -216,20 +220,22 @@ func NewMedium(eng *sim.Engine, cfg Config) *Medium {
 	return &Medium{eng: eng, cfg: cfg, nodes: make(map[NodeID]*nodeState)}
 }
 
-// delivery is one scheduled message delivery, pooled on the medium.
+// delivery is one scheduled message delivery, pooled on the medium. It
+// carries the destination itself, resolved once at send time.
 type delivery struct {
 	m    *Medium
 	from NodeID
-	to   NodeID
+	to   *nodeState
 	msg  any
 }
 
-// runDelivery is the shared event handler for every delivery record.
+// runDelivery is the shared event handler for every delivery record. A
+// destination that went down while the message was in flight counts as
+// unreachable.
 func runDelivery(x any) {
 	d := x.(*delivery)
 	m := d.m
-	n, ok := m.nodes[d.to]
-	if !ok || n.down || n.handler == nil {
+	if n := d.to; n.down || n.handler == nil {
 		m.Stats.Unreachable++
 	} else {
 		m.Stats.Deliveries++
@@ -251,7 +257,10 @@ func (m *Medium) Attach(id NodeID, mob Mobility, rangeM, bitrate float64, h Hand
 	if rangeM <= 0 || bitrate <= 0 {
 		return fmt.Errorf("radio: node %d needs positive range and bitrate", id)
 	}
-	m.nodes[id] = &nodeState{id: id, mobility: mob, rangeM: rangeM, bitrate: bitrate, handler: h}
+	n := &nodeState{id: id, mobility: mob, rangeM: rangeM, bitrate: bitrate, handler: h}
+	m.nodes[id] = n
+	at, _ := slices.BinarySearchFunc(m.sorted, id, func(n *nodeState, id NodeID) int { return cmp.Compare(n.id, id) })
+	m.sorted = slices.Insert(m.sorted, at, n)
 	m.ids = nil // invalidate the cached ID list
 	return nil
 }
@@ -289,15 +298,13 @@ func (m *Medium) PosOf(id NodeID) (Pos, bool) {
 // InRange reports whether a and b can currently hear each other: both up
 // and within the smaller of the two radio ranges (symmetric links).
 func (m *Medium) InRange(a, b NodeID) bool {
-	na, ok := m.nodes[a]
-	if !ok || na.down {
+	na, okA := m.nodes[a]
+	nb, okB := m.nodes[b]
+	if !okA || !okB {
 		return false
 	}
-	nb, ok := m.nodes[b]
-	if !ok || nb.down {
-		return false
-	}
-	return LinkInRange(m.linkOf(na), m.linkOf(nb))
+	_, _, ok := m.links(na, nb)
+	return ok
 }
 
 // linkOf snapshots a node's link description at the current instant.
@@ -305,35 +312,32 @@ func (m *Medium) linkOf(n *nodeState) Link {
 	return Link{Pos: n.mobility.Pos(m.eng.Now()), RangeM: n.rangeM, Bitrate: n.bitrate}
 }
 
+// links snapshots both endpoints' links and reports whether they can
+// currently hear each other: both up and in range.
+func (m *Medium) links(a, b *nodeState) (la, lb Link, ok bool) {
+	if a.down || b.down {
+		return la, lb, false
+	}
+	la, lb = m.linkOf(a), m.linkOf(b)
+	return la, lb, LinkInRange(la, lb)
+}
+
 // Neighbors returns the IDs currently in range of id, in ascending order.
 func (m *Medium) Neighbors(id NodeID) []NodeID {
-	return m.neighborsInto(id, nil)
-}
-
-// neighborsInto appends the IDs currently in range of id to buf (reused
-// by SendBroadcast to keep the per-broadcast scan allocation-free).
-func (m *Medium) neighborsInto(id NodeID, buf []NodeID) []NodeID {
-	for other := range m.nodes {
-		if other != id && m.InRange(id, other) {
-			buf = append(buf, other)
+	src, ok := m.nodes[id]
+	if !ok {
+		return nil
+	}
+	var out []NodeID
+	for _, n := range m.sorted {
+		if n == src {
+			continue
+		}
+		if _, _, ok := m.links(src, n); ok {
+			out = append(out, n.id)
 		}
 	}
-	sortNodeIDs(buf)
-	return buf
-}
-
-func sortNodeIDs(ids []NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-// latency computes the one-way delivery latency for size bytes between
-// two attached nodes.
-func (m *Medium) latency(from, to *nodeState, size int) float64 {
-	return LinkLatency(m.linkOf(from), m.linkOf(to), int64(size), m.cfg.PropDelay, m.cfg.ProcDelay)
+	return out
 }
 
 // TxTime estimates the transfer time of size bytes from a to b at the
@@ -345,10 +349,12 @@ func (m *Medium) TxTime(a, b NodeID, size int64) float64 {
 	}
 	na, okA := m.nodes[a]
 	nb, okB := m.nodes[b]
-	if !okA || !okB || !m.InRange(a, b) {
-		return math.Inf(1)
+	if okA && okB {
+		if la, lb, ok := m.links(na, nb); ok {
+			return LinkLatency(la, lb, size, m.cfg.PropDelay, m.cfg.ProcDelay)
+		}
 	}
-	return m.latency(na, nb, int(size))
+	return math.Inf(1)
 }
 
 // Send delivers msg of the given wire size from one node to another after
@@ -362,10 +368,17 @@ func (m *Medium) Send(from, to NodeID, msg any, size int) {
 	}
 	m.Stats.Unicasts++
 	m.Stats.Bytes += uint64(size)
-	m.deliver(src, to, msg, size)
+	if dst, ok := m.nodes[to]; ok {
+		if la, lb, ok := m.links(src, dst); ok {
+			m.transmit(src.id, dst, msg, size, la, lb)
+			return
+		}
+	}
+	m.Stats.Unreachable++
 }
 
-// SendBroadcast delivers msg to every node currently in range of from.
+// SendBroadcast delivers msg to every node currently in range of from,
+// in ascending ID order.
 func (m *Medium) SendBroadcast(from NodeID, msg any, size int) {
 	src, ok := m.nodes[from]
 	if !ok || src.down {
@@ -374,9 +387,13 @@ func (m *Medium) SendBroadcast(from NodeID, msg any, size int) {
 	}
 	m.Stats.Broadcasts++
 	m.Stats.Bytes += uint64(size)
-	m.bcast = m.neighborsInto(from, m.bcast[:0])
-	for _, to := range m.bcast {
-		m.deliver(src, to, msg, size)
+	for _, dst := range m.sorted {
+		if dst == src {
+			continue
+		}
+		if la, lb, ok := m.links(src, dst); ok {
+			m.transmit(src.id, dst, msg, size, la, lb)
+		}
 	}
 }
 
@@ -386,19 +403,16 @@ func (m *Medium) SendBroadcast(from NodeID, msg any, size int) {
 // LossProb draw and never touches the engine rng.
 func (m *Medium) SetInterceptor(i Interceptor) { m.interceptor = i }
 
-func (m *Medium) deliver(src *nodeState, to NodeID, msg any, size int) {
-	dst, ok := m.nodes[to]
-	if !ok || dst.down || !m.InRange(src.id, to) {
-		m.Stats.Unreachable++
-		return
-	}
+// transmit puts one in-range transmission over the links la -> lb through
+// the loss draw and the fault hook, and schedules what survives.
+func (m *Medium) transmit(from NodeID, dst *nodeState, msg any, size int, la, lb Link) {
 	if m.cfg.LossProb > 0 && m.eng.Rand().Float64() < m.cfg.LossProb {
 		m.Stats.Drops++
 		return
 	}
-	lat := m.latency(src, dst, size)
+	lat := LinkLatency(la, lb, int64(size), m.cfg.PropDelay, m.cfg.ProcDelay)
 	if m.interceptor != nil {
-		fate := m.interceptor.DeliverFate(m.eng.Now(), src.id, to, size)
+		fate := m.interceptor.DeliverFate(m.eng.Now(), from, dst.id, size)
 		if fate.Drop {
 			m.Stats.FaultDrops++
 			return
@@ -406,15 +420,15 @@ func (m *Medium) deliver(src *nodeState, to NodeID, msg any, size int) {
 		lat += fate.Delay
 		if fate.Dup {
 			m.Stats.FaultDups++
-			m.schedule(src.id, to, msg, lat+fate.DupDelay)
+			m.schedule(from, dst, msg, lat+fate.DupDelay)
 		}
 	}
-	m.schedule(src.id, to, msg, lat)
+	m.schedule(from, dst, msg, lat)
 }
 
 // schedule queues one delivery event after lat seconds, recycling a
 // pooled record.
-func (m *Medium) schedule(from, to NodeID, msg any, lat float64) {
+func (m *Medium) schedule(from NodeID, to *nodeState, msg any, lat float64) {
 	var d *delivery
 	if n := len(m.deliveries); n > 0 {
 		d = m.deliveries[n-1]
@@ -429,18 +443,17 @@ func (m *Medium) schedule(from, to NodeID, msg any, lat float64) {
 // NodeIDs returns all attached node IDs in ascending order. The slice is
 // freshly allocated and owned by the caller; hot paths should prefer IDs.
 func (m *Medium) NodeIDs() []NodeID {
-	ids := make([]NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
+	ids := make([]NodeID, len(m.sorted))
+	for i, n := range m.sorted {
+		ids[i] = n.id
 	}
-	sortNodeIDs(ids)
 	return ids
 }
 
 // IDs returns the cached ascending node-ID list. The slice is shared and
 // MUST be treated as read-only; it is rebuilt after every Attach. Hot
 // per-tick readers (utilization sampling, adaptation scans, churn victim
-// selection) use it to avoid re-sorting the population every event.
+// selection) use it to avoid rebuilding the list every event.
 func (m *Medium) IDs() []NodeID {
 	if m.ids == nil {
 		m.ids = m.NodeIDs()

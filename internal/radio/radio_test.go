@@ -199,6 +199,9 @@ func TestFailureDuringFlightDropsDelivery(t *testing.T) {
 	if len(rx.msgs) != 0 {
 		t.Error("message delivered to node that failed mid-flight")
 	}
+	if m.Stats.Unreachable != 1 || m.Stats.Deliveries != 0 {
+		t.Errorf("stats = %+v, want the in-flight message counted unreachable", m.Stats)
+	}
 }
 
 func TestLossProbability(t *testing.T) {

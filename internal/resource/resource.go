@@ -3,7 +3,10 @@
 // memory, I/O and network bandwidth, energy) and the Resource Managers
 // that grant reservations against them. A node's QoS Provider maps QoS
 // levels to resource vectors and asks the managers to reserve them
-// (Section 5).
+// (Section 5). The paper's one Resource Manager per resource is one Kind
+// of a node's Set here: each kind keeps its own capacity, running
+// reserved sum and admission test, and the Set holds them side by side in
+// one ledger so a vector demand is granted or refused as a whole.
 package resource
 
 import (

@@ -82,102 +82,104 @@ func TestKindNames(t *testing.T) {
 }
 
 func TestBucketReserveRelease(t *testing.T) {
-	b := NewBucket(CPU, 100)
-	if b.Capacity() != 100 || b.Available() != 100 {
-		t.Fatal("fresh bucket")
-	}
-	if err := b.Reserve("a", 60); err != nil {
-		t.Fatal(err)
-	}
-	if b.Available() != 40 {
-		t.Errorf("available = %v", b.Available())
-	}
-	// Over-capacity rejected with a typed error.
-	err := b.Reserve("b", 50)
-	var ie *InsufficientError
-	if !errors.As(err, &ie) {
-		t.Fatalf("want *InsufficientError, got %v", err)
-	}
-	if ie.Kind != CPU || ie.Want != 50 || ie.Have != 40 {
-		t.Errorf("error detail = %+v", ie)
-	}
-	if ie.Error() == "" {
-		t.Error("error message empty")
-	}
-	// Duplicate id rejected (ids name one reservation).
-	if err := b.Reserve("a", 1); err == nil {
-		t.Error("duplicate reservation id accepted")
-	}
-	// Release returns the held amount; unknown ids release 0.
-	if got := b.Release("a"); got != 60 {
-		t.Errorf("released %v", got)
-	}
-	if got := b.Release("a"); got != 0 {
-		t.Errorf("double release = %v", got)
-	}
-	if b.Available() != 100 {
-		t.Error("release did not restore capacity")
-	}
-	// Zero reservations are free and need no ledger entry.
-	if err := b.Reserve("z", 0); err != nil {
-		t.Error(err)
-	}
-	if len(b.Holders()) != 0 {
-		t.Error("zero reservation created a holder")
-	}
-	// Negative reservations are errors.
-	if err := b.Reserve("n", -5); err == nil {
-		t.Error("negative reservation accepted")
-	}
+	eachBucket(t, CPU, 100, func(t *testing.T, b bucketLike) {
+		if b.Capacity() != 100 || b.Available() != 100 {
+			t.Fatal("fresh bucket")
+		}
+		if err := b.Reserve("a", 60); err != nil {
+			t.Fatal(err)
+		}
+		if b.Available() != 40 {
+			t.Errorf("available = %v", b.Available())
+		}
+		// Over-capacity rejected with a typed error.
+		err := b.Reserve("b", 50)
+		var ie *InsufficientError
+		if !errors.As(err, &ie) {
+			t.Fatalf("want *InsufficientError, got %v", err)
+		}
+		if ie.Kind != CPU || ie.Want != 50 || ie.Have != 40 {
+			t.Errorf("error detail = %+v", ie)
+		}
+		if ie.Error() == "" {
+			t.Error("error message empty")
+		}
+		// Duplicate id rejected (ids name one reservation).
+		if err := b.Reserve("a", 1); err == nil {
+			t.Error("duplicate reservation id accepted")
+		}
+		// Release returns the held amount; unknown ids release 0.
+		if got := b.Release("a"); got != 60 {
+			t.Errorf("released %v", got)
+		}
+		if got := b.Release("a"); got != 0 {
+			t.Errorf("double release = %v", got)
+		}
+		if b.Available() != 100 {
+			t.Error("release did not restore capacity")
+		}
+		// Zero reservations are free and need no ledger entry.
+		if err := b.Reserve("z", 0); err != nil {
+			t.Error(err)
+		}
+		if len(b.Holders()) != 0 {
+			t.Error("zero reservation created a holder")
+		}
+		// Negative reservations are errors.
+		if err := b.Reserve("n", -5); err == nil {
+			t.Error("negative reservation accepted")
+		}
+	})
 }
 
 // TestBucketReleaseReplayIdempotent pins the ledger property the
 // at-least-once protocol layer leans on (DESIGN.md §12): a duplicated
 // TaskRelease replays Release(id) arbitrarily many times, and every
 // replay after the first must be a no-op — reserved can never go
-// negative and a drained bucket returns to exactly its capacity.
+// negative and a drained kind returns to exactly its capacity.
 func TestBucketReleaseReplayIdempotent(t *testing.T) {
-	b := NewBucket(CPU, 100)
-	ids := []ReservationID{"t1", "t2", "t3"}
-	for i, id := range ids {
-		if err := b.Reserve(id, float64(10*(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A replay storm: every release delivered three times, interleaved.
-	for round := 0; round < 3; round++ {
-		for _, id := range ids {
-			b.Release(id)
-			if avail := b.Available(); avail > b.Capacity() {
-				t.Fatalf("replayed release drove reserved negative: available %v > capacity %v", avail, b.Capacity())
+	eachBucket(t, CPU, 100, func(t *testing.T, b bucketLike) {
+		ids := []ReservationID{"t1", "t2", "t3"}
+		for i, id := range ids {
+			if err := b.Reserve(id, float64(10*(i+1))); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-	if b.Available() != 100 {
-		t.Errorf("drained bucket available = %v, want exactly 100", b.Available())
-	}
-	if len(b.Holders()) != 0 {
-		t.Errorf("holders after drain: %v", b.Holders())
-	}
-	// A release replayed across a re-reservation of the same id frees the
-	// live reservation once, never twice.
-	if err := b.Reserve("t1", 25); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Release("t1"); got != 25 {
-		t.Errorf("first release = %v", got)
-	}
-	if got := b.Release("t1"); got != 0 {
-		t.Errorf("replayed release = %v, want 0", got)
-	}
-	if b.Available() != 100 {
-		t.Errorf("available = %v after replay across re-reserve", b.Available())
-	}
+		// A replay storm: every release delivered three times, interleaved.
+		for round := 0; round < 3; round++ {
+			for _, id := range ids {
+				b.Release(id)
+				if avail := b.Available(); avail > b.Capacity() {
+					t.Fatalf("replayed release drove reserved negative: available %v > capacity %v", avail, b.Capacity())
+				}
+			}
+		}
+		if b.Available() != 100 {
+			t.Errorf("drained bucket available = %v, want exactly 100", b.Available())
+		}
+		if len(b.Holders()) != 0 {
+			t.Errorf("holders after drain: %v", b.Holders())
+		}
+		// A release replayed across a re-reservation of the same id frees the
+		// live reservation once, never twice.
+		if err := b.Reserve("t1", 25); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Release("t1"); got != 25 {
+			t.Errorf("first release = %v", got)
+		}
+		if got := b.Release("t1"); got != 0 {
+			t.Errorf("replayed release = %v, want 0", got)
+		}
+		if b.Available() != 100 {
+			t.Errorf("available = %v after replay across re-reserve", b.Available())
+		}
+	})
 }
 
-// TestSetReleaseReplayIdempotent lifts the same pin to the vector Set:
+// TestSetReleaseReplayIdempotent lifts the same pin to the whole vector:
 // the second release of an id returns the zero vector and leaves every
-// bucket exactly full.
+// kind exactly full.
 func TestSetReleaseReplayIdempotent(t *testing.T) {
 	s := NewSet(V(KV{CPU, 100}, KV{Memory, 64}, KV{NetBW, 10}, KV{Energy, 50}))
 	if err := s.Reserve("task", V(KV{CPU, 30}, KV{Memory, 16}, KV{NetBW, 2}, KV{Energy, 5})); err != nil {
@@ -197,37 +199,39 @@ func TestSetReleaseReplayIdempotent(t *testing.T) {
 }
 
 func TestBucketSetCapacity(t *testing.T) {
-	b := NewBucket(CPU, 100)
-	if err := b.Reserve("a", 80); err != nil {
-		t.Fatal(err)
-	}
-	b.SetCapacity(50) // congestion: capacity drops below reserved
-	if b.Available() >= 0 {
-		t.Errorf("available = %v, want negative (over-committed)", b.Available())
-	}
-	if err := b.Reserve("b", 1); err == nil {
-		t.Error("admission over shrunk capacity accepted")
-	}
-	if got := b.Release("a"); got != 80 {
-		t.Error("existing reservation must survive capacity changes")
-	}
+	eachBucket(t, CPU, 100, func(t *testing.T, b bucketLike) {
+		if err := b.Reserve("a", 80); err != nil {
+			t.Fatal(err)
+		}
+		b.SetCapacity(50) // congestion: capacity drops below reserved
+		if b.Available() >= 0 {
+			t.Errorf("available = %v, want negative (over-committed)", b.Available())
+		}
+		if err := b.Reserve("b", 1); err == nil {
+			t.Error("admission over shrunk capacity accepted")
+		}
+		if got := b.Release("a"); got != 80 {
+			t.Error("existing reservation must survive capacity changes")
+		}
+	})
 }
 
 func TestBucketHolders(t *testing.T) {
-	b := NewBucket(Memory, 10)
-	for _, id := range []ReservationID{"c", "a", "b"} {
-		if err := b.Reserve(id, 1); err != nil {
-			t.Fatal(err)
+	eachBucket(t, Memory, 10, func(t *testing.T, b bucketLike) {
+		for _, id := range []ReservationID{"c", "a", "b"} {
+			if err := b.Reserve(id, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	h := b.Holders()
-	if len(h) != 3 || h[0] != "a" || h[1] != "b" || h[2] != "c" {
-		t.Errorf("Holders = %v, want sorted", h)
-	}
+		h := b.Holders()
+		if len(h) != 3 || h[0] != "a" || h[1] != "b" || h[2] != "c" {
+			t.Errorf("Holders = %v, want sorted", h)
+		}
+	})
 }
 
 func TestBucketConcurrentReserve(t *testing.T) {
-	b := NewBucket(CPU, 1000)
+	b := kindOf{NewSet(V(KV{CPU, 1000})), CPU}
 	var wg sync.WaitGroup
 	errs := make(chan error, 100)
 	for i := 0; i < 100; i++ {
@@ -235,7 +239,6 @@ func TestBucketConcurrentReserve(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			id := ReservationID(rune('a' + n%26))
-			// Mix of reservations and releases; invariants checked after.
 			if err := b.Reserve(ReservationID(string(id)+string(rune('0'+n/26))), 10); err != nil {
 				errs <- err
 			}
@@ -251,26 +254,44 @@ func TestBucketConcurrentReserve(t *testing.T) {
 	}
 }
 
+// TestBatteryDrain drains the Energy kind the way Cluster.runBattery does
+// — capacity stepped down through SetCapacity, floored at zero — under a
+// live reservation: the holder survives, admission closes.
 func TestBatteryDrain(t *testing.T) {
-	bat := NewBattery(100, 2) // 2 units/s idle drain
-	bat.Drain(10)
-	if got := bat.Capacity(); got != 80 {
+	s := NewSet(V(KV{CPU, 10}, KV{Energy, 100}))
+	if err := s.Reserve("task", V(KV{CPU, 1}, KV{Energy, 30})); err != nil {
+		t.Fatal(err)
+	}
+	drain := func(units float64) {
+		left := s.Capacity()[Energy] - units
+		if left < 0 {
+			left = 0
+		}
+		s.SetCapacity(Energy, left)
+	}
+	drain(2 * 10) // 2 units/s for 10 s
+	if got := s.Capacity()[Energy]; got != 80 {
 		t.Errorf("capacity after drain = %v, want 80", got)
 	}
-	bat.Drain(1000)
-	if got := bat.Capacity(); got != 0 {
-		t.Errorf("capacity floor = %v, want 0", got)
+	if !s.CanReserve(V(KV{Energy, 50})) || s.CanReserve(V(KV{Energy, 51})) {
+		t.Error("admission must follow the drained capacity")
 	}
-	// Zero and negative drains are no-ops.
-	bat2 := NewBattery(50, 0)
-	bat2.Drain(100)
-	if bat2.Capacity() != 50 {
-		t.Error("zero-rate battery drained")
+	drain(2 * 1000)
+	capacity, available := s.Usage()
+	if capacity[Energy] != 0 {
+		t.Errorf("capacity floor = %v, want 0", capacity[Energy])
 	}
-	bat3 := NewBattery(50, 5)
-	bat3.Drain(-1)
-	if bat3.Capacity() != 50 {
-		t.Error("negative dt drained")
+	if available[Energy] != -30 || available[CPU] != 9 {
+		t.Errorf("available = %v, want the holder kept over an empty battery", available)
+	}
+	if err := s.Reserve("late", V(KV{Energy, 1})); err == nil {
+		t.Error("an empty battery granted a reservation")
+	}
+	if got := s.Release("task"); got[Energy] != 30 {
+		t.Errorf("released %v, want the reservation intact", got)
+	}
+	if got := s.Available()[Energy]; got != 0 {
+		t.Errorf("available after release = %v, want exactly 0", got)
 	}
 }
 
@@ -328,23 +349,19 @@ func TestSetRejectsNegativeDemand(t *testing.T) {
 	}
 }
 
-func TestNewSetWith(t *testing.T) {
-	bat := NewBattery(200, 1)
-	s := NewSetWith(NewBucket(CPU, 100), bat)
-	if s.Manager(CPU).Capacity() != 100 {
-		t.Error("explicit manager lost")
+// TestNewSetZeroCapacityKinds: kinds the capacity vector leaves out (or
+// gives a negative amount) are managed at zero capacity and grant nothing.
+func TestNewSetZeroCapacityKinds(t *testing.T) {
+	s := NewSet(V(KV{CPU, 100}, KV{Energy, 200}, KV{NetBW, -5}))
+	capacity := s.Capacity()
+	if capacity[CPU] != 100 || capacity[Energy] != 200 {
+		t.Error("explicit capacity lost")
 	}
-	if s.Manager(Energy) != bat.Bucket {
-		// NewSetWith stores the Manager interface; Battery embeds
-		// *Bucket so the comparison must be against the embedded value.
-		t.Log("battery stored as its own manager type (embedded bucket)")
+	if capacity[Storage] != 0 || capacity[NetBW] != 0 {
+		t.Error("missing and negative kinds must default to zero capacity")
 	}
-	if s.Manager(Storage).Capacity() != 0 {
-		t.Error("missing kinds must default to zero-capacity buckets")
-	}
-	// Reservations against zero-capacity kinds fail.
 	if err := s.Reserve("x", V(KV{Storage, 1})); err == nil {
-		t.Error("zero-capacity manager granted a reservation")
+		t.Error("zero-capacity kind granted a reservation")
 	}
 }
 
@@ -365,5 +382,94 @@ func TestSetConcurrentReserveRelease(t *testing.T) {
 	wg.Wait()
 	if s.Available() != s.Capacity() {
 		t.Errorf("leaked reservations: %v vs %v", s.Available(), s.Capacity())
+	}
+}
+
+// TestSetResize pins the swap: a fitting demand replaces the holding, a
+// demand that does not fit leaves the old holding exactly as it was (the
+// kinds granted before the failing one are given back), and an id the
+// ledger does not know resizes from nothing.
+func TestSetResize(t *testing.T) {
+	s := NewSet(V(KV{CPU, 100}, KV{Memory, 10}))
+	small, large := V(KV{CPU, 40}, KV{Memory, 4}), V(KV{CPU, 80}, KV{Memory, 8})
+	if err := s.Reserve("task", small); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Resize("task", large); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Available(); got != s.Capacity().Sub(large) {
+		t.Errorf("available after upgrade = %v", got)
+	}
+	// Memory is the failing kind; CPU was granted first and must come back.
+	err := s.Resize("task", V(KV{CPU, 90}, KV{Memory, 11}))
+	var ie *InsufficientError
+	if !errors.As(err, &ie) || ie.Kind != Memory || ie.Want != 11 || ie.Have != 10 {
+		t.Fatalf("oversize resize = %v, want insufficient mem", err)
+	}
+	if got := s.Available(); got != s.Capacity().Sub(large) {
+		t.Errorf("failed resize moved the ledger: available %v", got)
+	}
+	if h := s.Holders(Memory); len(h) != 1 || h[0] != "task" {
+		t.Errorf("failed resize lost the holder: %v", h)
+	}
+	if err := s.Resize("task", V(KV{CPU, -1})); err == nil {
+		t.Error("negative resize accepted")
+	}
+	// A holding the shrunk capacity no longer covers is still put back.
+	s.SetCapacity(CPU, 50)
+	if err := s.Resize("task", V(KV{CPU, 90})); err == nil {
+		t.Error("resize over shrunk capacity accepted")
+	}
+	if got := s.Release("task"); got != large {
+		t.Errorf("released %v, want the holding kept through failed resizes", got)
+	}
+	if err := s.Resize("fresh", small); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Release("fresh"); got != small {
+		t.Errorf("resize of an unknown id held %v", got)
+	}
+	if s.Available() != s.Capacity() {
+		t.Errorf("available %v != capacity %v after drain", s.Available(), s.Capacity())
+	}
+}
+
+// TestSetResizeNeverLosesID races Reserve/Release on other ids against
+// Resize flipping one holding between two sizes. A failed upgrade must
+// find its old holding intact: released, re-reserved and put back in one
+// critical section, the freed amount is never there for a racer to take.
+func TestSetResizeNeverLosesID(t *testing.T) {
+	s := NewSet(V(KV{CPU, 100}, KV{Memory, 100}))
+	sizes := [2]Vector{V(KV{CPU, 40}, KV{Memory, 10}), V(KV{CPU, 80}, KV{Memory, 20})}
+	if err := s.Reserve("held", sizes[0]); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			id := ReservationID(rune('A' + g))
+			for i := 0; i < 500; i++ {
+				if s.Reserve(id, V(KV{CPU, 30})) == nil {
+					s.Release(id)
+				}
+			}
+		}(g)
+	}
+	for i := 1; i <= 2000; i++ {
+		_ = s.Resize("held", sizes[i%2]) // an upgrade may lose to the racers; the holding may not
+		if h := s.Holders(Memory); len(h) != 1 || h[0] != "held" {
+			t.Fatalf("resize %d lost the reservation: holders %v", i, h)
+		}
+	}
+	wg.Wait()
+	held := s.Release("held")
+	if held != sizes[0] && held != sizes[1] {
+		t.Errorf("held = %v, want one of the two sizes", held)
+	}
+	if s.Available() != s.Capacity() {
+		t.Errorf("available %v != capacity %v after drain", s.Available(), s.Capacity())
 	}
 }

@@ -60,11 +60,7 @@ func ledgerEntriesAlive(cl *core.Cluster, svcID string) []string {
 		}
 		res := cl.Node(id).Res
 		for _, k := range resource.Kinds() {
-			b, ok := res.Manager(k).(*resource.Bucket)
-			if !ok {
-				continue
-			}
-			for _, rid := range b.Holders() {
+			for _, rid := range res.Holders(k) {
 				s := string(rid)
 				if strings.HasPrefix(s, svcID+"/") || strings.HasPrefix(s, "hold:"+svcID+"/") {
 					out = append(out, fmt.Sprintf("node %d %s: %s", id, k, s))

@@ -145,7 +145,7 @@ func TestQueueDeterminism(t *testing.T) {
 // arbitrary admission policy and holds every one to two invariants:
 //
 //   - the PR-3 leak bar: no reservation survives a session's teardown,
-//     and after the drain every bucket is back at capacity — queue
+//     and after the drain every ledger is back at capacity — queue
 //     retries and yield rollbacks must not park or strand anything;
 //   - the differential bound: the achieved admission-time utility never
 //     exceeds the clairvoyant oracle's relaxation over the run's own

@@ -254,7 +254,7 @@ func FuzzSlotTable(f *testing.F) {
 // FuzzOpenSystemLifecycle drives whole randomized open-system runs on
 // the pooled path and holds them to the PR-3 leak-guard bar: after
 // every teardown no ledger entry may reference the departed session,
-// after the drain every bucket must be back at capacity, and the Stats
+// after the drain every ledger must be back at capacity, and the Stats
 // must match the reference loop bit for bit. The fuzz input picks the
 // population, load, churn and adaptation policy, so admit / dissolve /
 // reboot / retire interleavings the hand-written tests never reach are

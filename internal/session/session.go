@@ -396,6 +396,10 @@ type Engine struct {
 	// any reservation outside this set as an orphan.
 	activeSvc map[string]*core.Organizer
 
+	// ledgers is every node's resource ledger in ascending node ID, the
+	// order the sampling tick sums utilization in.
+	ledgers []*resource.Set
+
 	stats   Stats
 	liveAvg metrics.TimeAvg
 	utilAvg [resource.NumKinds]metrics.TimeAvg
@@ -493,6 +497,9 @@ func New(cl *core.Cluster, cfg Config, seed int64) (*Engine, error) {
 	}
 	if admOn {
 		e.evals = make(map[evalKey]*sessEval)
+	}
+	for _, id := range cl.Medium.IDs() {
+		e.ledgers = append(e.ledgers, cl.Node(id).Res)
 	}
 	for _, id := range cfg.Organizers {
 		if cl.Node(id) == nil {
@@ -1430,16 +1437,9 @@ func (e *Engine) sampleTick() {
 	}
 
 	// Per-resource utilization averaged over nodes.
-	var nodes []radio.NodeID
-	if e.cfg.SlowPath {
-		nodes = e.cl.Nodes()
-	} else {
-		nodes = e.cl.Medium.IDs()
-	}
 	var util resource.Vector
-	for _, id := range nodes {
-		res := e.cl.Node(id).Res
-		cap, avail := res.Capacity(), res.Available()
+	for _, res := range e.ledgers {
+		cap, avail := res.Usage()
 		for k := range util {
 			if cap[k] > 0 {
 				util[k] += (cap[k] - avail[k]) / cap[k]
@@ -1447,7 +1447,7 @@ func (e *Engine) sampleTick() {
 		}
 	}
 	for k := range util {
-		e.utilAvg[k].Observe(now, util[k]/float64(len(nodes)))
+		e.utilAvg[k].Observe(now, util[k]/float64(len(e.ledgers)))
 	}
 
 	if next := now + e.cfg.SampleEvery; next <= e.cfg.Horizon {

@@ -29,18 +29,14 @@ func buildCluster(t *testing.T, seed int64, nodes int) *core.Cluster {
 }
 
 // ledgerEntriesFor returns every reservation ID referencing the service
-// across all buckets of the cluster: firm reservations are "svc/task",
+// across all ledgers of the cluster: firm reservations are "svc/task",
 // provider holds are "hold:svc/round/task@node".
 func ledgerEntriesFor(cl *core.Cluster, svcID string) []string {
 	var out []string
 	for _, id := range cl.Nodes() {
 		res := cl.Node(id).Res
 		for _, k := range resource.Kinds() {
-			b, ok := res.Manager(k).(*resource.Bucket)
-			if !ok {
-				continue
-			}
-			for _, rid := range b.Holders() {
+			for _, rid := range res.Holders(k) {
 				s := string(rid)
 				if strings.HasPrefix(s, svcID+"/") || strings.HasPrefix(s, "hold:"+svcID+"/") {
 					out = append(out, fmt.Sprintf("node %d %s: %s", id, k, s))
@@ -52,23 +48,21 @@ func ledgerEntriesFor(cl *core.Cluster, svcID string) []string {
 }
 
 // assertAllReleased asserts the system is back at its pristine state:
-// every bucket's ledger empty and its available amount exactly equal to
+// every node's ledger empty and its available amount exactly equal to
 // its capacity (Release snaps the running sum to zero when the ledger
 // drains, so this equality is exact, not approximate).
 func assertAllReleased(t *testing.T, cl *core.Cluster) {
 	t.Helper()
 	for _, id := range cl.Nodes() {
 		res := cl.Node(id).Res
+		capacity, available := res.Usage()
 		for _, k := range resource.Kinds() {
-			m := res.Manager(k)
-			if b, ok := m.(*resource.Bucket); ok {
-				if holders := b.Holders(); len(holders) != 0 {
-					t.Errorf("node %d %s: ledger not empty after run: %v", id, k, holders)
-				}
+			if holders := res.Holders(k); len(holders) != 0 {
+				t.Errorf("node %d %s: ledger not empty after run: %v", id, k, holders)
 			}
-			if m.Available() != m.Capacity() {
+			if available[k] != capacity[k] {
 				t.Errorf("node %d %s: available %g != capacity %g after every session departed",
-					id, k, m.Available(), m.Capacity())
+					id, k, available[k], capacity[k])
 			}
 		}
 	}
@@ -76,9 +70,9 @@ func assertAllReleased(t *testing.T, cl *core.Cluster) {
 
 // TestLeakGuardOpenSystem is the reservation-ledger leak detector over
 // an E17-style open system: after every session teardown (departure or
-// admission failure) no bucket on any node may still hold a ledger
+// admission failure) no kind on any node may still hold a ledger
 // entry referencing the session, over more than 1000 simulated
-// sessions; and once every session has departed, every bucket's usage
+// sessions; and once every session has departed, every kind's usage
 // is exactly its pre-run value (zero). It runs once per engine path —
 // the pooled slot table recycles session records, so the pooled subtest
 // additionally proves that recycling never leaks a reservation.
