@@ -204,8 +204,9 @@ func BenchmarkDistanceEval(b *testing.B) {
 // BenchmarkFormulate measures the Section 5 degradation heuristic under
 // moderate scarcity — the provider's inner loop. Providers compile a
 // CFP task once and reuse the compiled problem across rounds and
-// concurrent negotiations, so the steady-state cost is cp.Formulate on
-// cached tables; BenchmarkFormulateOneShot prices the cold path.
+// concurrent negotiations, so the steady-state cost is cp.Formulate — a
+// scan of the precomputed degradation path; BenchmarkFormulateOneShot
+// prices the cold path.
 func BenchmarkFormulate(b *testing.B) {
 	spec := workload.VideoSpec()
 	req := workload.StreamingRequest("b")
@@ -225,8 +226,9 @@ func BenchmarkFormulate(b *testing.B) {
 	}
 }
 
-// BenchmarkFormulateOneShot includes ladder construction and table
-// compilation in every iteration (a cache-miss CFP task).
+// BenchmarkFormulateOneShot includes ladder construction, table
+// compilation and the degradation-path walk in every iteration (a
+// cache-miss CFP task).
 func BenchmarkFormulateOneShot(b *testing.B) {
 	spec := workload.VideoSpec()
 	req := workload.StreamingRequest("b")
@@ -236,7 +238,11 @@ func BenchmarkFormulateOneShot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Formulate(spec, &req, dm, avail, 4, nil); err != nil {
+		cp, err := core.CompileProblem(spec, &req, dm, 4, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cp.Formulate(avail); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -250,10 +256,14 @@ func BenchmarkFormulateExhaustive(b *testing.B) {
 	dm := workload.VideoDemand(1)
 	capacity := workload.PDA.Capacity
 	avail := func(d resource.Vector) bool { return d.Fits(capacity) }
+	cp, err := core.CompileProblem(spec, &req, dm, 3, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.FormulateExhaustive(spec, &req, dm, avail, 3, nil, 1<<21); err != nil {
+		if _, err := cp.FormulateExhaustive(avail, 1<<21); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,8 +50,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	cp, err := core.CompileProblem(spec, &req, workload.VideoDemand(1), 4, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	abundant := resource.NewSet(workload.Laptop.Capacity)
-	f, err := core.Formulate(spec, &req, workload.VideoDemand(1), abundant.CanReserve, 4, nil)
+	f, err := cp.Formulate(abundant.CanReserve)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +64,7 @@ func main() {
 
 	// Formulation under scarcity: watch the degradation order.
 	scarce := resource.NewSet(workload.Phone.Capacity.Scale(0.45))
-	f2, err := core.Formulate(spec, &req, workload.VideoDemand(1), scarce.CanReserve, 4, nil)
+	f2, err := cp.Formulate(scarce.CanReserve)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,13 +1,14 @@
 package adapt
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/qos"
 	"repro/internal/radio"
-	"repro/internal/resource"
 	"repro/internal/task"
 )
 
@@ -168,7 +169,7 @@ func (s *Stats) Merge(o *Stats) {
 type Event struct {
 	// T is the simulated time of the event.
 	T float64
-	// Kind is "degrade", "upgrade", "repair" or "kill".
+	// Kind is "degrade", "upgrade", "revert", "repair" or "kill".
 	Kind string
 	// Task is the affected task ID ("" for kill).
 	Task string
@@ -178,7 +179,8 @@ type Event struct {
 	Distance float64
 }
 
-// taskState tracks one live task on the compiled ladder.
+// taskState tracks one live task as a position on its compiled
+// problem's degradation path.
 type taskState struct {
 	t    *task.Task
 	cp   *core.CompiledProblem
@@ -187,16 +189,18 @@ type taskState struct {
 	// from the winning proposal, recomputed on migration, carried
 	// forward unchanged by same-node degrades/upgrades.
 	comm float64
-	// cur is the current dep-consistent ladder assignment; admitDist is
-	// the task's distance at admission.
-	cur       qos.Assignment
-	admit     qos.Assignment
+	// pos indexes the task's current level in cp.Path; admitDist is the
+	// task's distance at admission.
+	pos       int
 	admitDist float64
-	// hist stacks the dep-consistent assignments this task degraded
-	// away from, most recent last; upgrades pop it, making
-	// degrade→upgrade round-trips exact.
-	hist []qos.Assignment
+	// hist stacks the path positions this task degraded away from, most
+	// recent last; upgrades pop it, making degrade→upgrade round-trips
+	// exact.
+	hist []int
 }
+
+// stop is the task's current stop on the degradation path.
+func (ts *taskState) stop() *core.Stop { return &ts.cp.Path[ts.pos] }
 
 // state is one registered live session.
 type state struct {
@@ -235,10 +239,6 @@ type Engine struct {
 	countFrom float64
 
 	compiled map[compiledKey]*compiledEntry
-	// stops caches each compiled problem's degradation-path stops: the
-	// path is availability-independent, so it is shared by every
-	// re-placement over the same (spec, demand reference).
-	stops    map[*core.CompiledProblem][]pathStop
 	sessions map[string]*state
 	order    []string // svcIDs in admission order
 	// avoid marks nodes the engine must not place on or renegotiate
@@ -247,18 +247,15 @@ type Engine struct {
 	// are neither Down nor usable (see SetAvoid, NodeUnreachable).
 	avoid map[radio.NodeID]bool
 	// yields journals incumbent degrades applied for pending Yield
-	// admissions, keyed by the beneficiary service ID (see yield.go);
-	// evals caches each compiled problem's eq. 3 evaluator for pricing.
+	// admissions, keyed by the beneficiary service ID (see yield.go).
 	yields map[string][]yieldMark
-	evals  map[*core.CompiledProblem]*qos.Evaluator
 
 	// Steady-state scratch and free-lists: open-system runs admit and
 	// forget sessions continuously, so session records, task records and
 	// the per-trigger work lists are recycled instead of reallocated.
-	// Event histories and degrade histories are NOT recycled — History's
-	// callers may hold them past Forget — so a recycled record starts
-	// with nil events/hist and ownership of the old slices stays with
-	// whoever read them.
+	// Event histories are NOT recycled — History's callers may hold them
+	// past Forget — so a recycled record starts with nil events and
+	// ownership of the old slice stays with whoever read it.
 	statePool    []*state
 	taskPool     []*taskState
 	orderScratch []string
@@ -279,11 +276,9 @@ func New(cl *core.Cluster, cfg Config, countFrom float64) (*Engine, error) {
 		cfg:       cfg.withDefaults(),
 		countFrom: countFrom,
 		compiled:  make(map[compiledKey]*compiledEntry),
-		stops:     make(map[*core.CompiledProblem][]pathStop),
 		sessions:  make(map[string]*state),
 		avoid:     make(map[radio.NodeID]bool),
 		yields:    make(map[string][]yieldMark),
-		evals:     make(map[*core.CompiledProblem]*qos.Evaluator),
 	}, nil
 }
 
@@ -358,9 +353,10 @@ func (e *Engine) getTaskState() *taskState {
 }
 
 // Admit registers a freshly admitted session: its assignments are
-// re-anchored from protocol Levels onto the compiled ladder so every
-// later adaptation evaluates on the slot-indexed fast path. counted
-// marks sessions arriving at or after the owner's warmup.
+// re-anchored from protocol Levels onto positions of the compiled
+// degradation path, so every later adaptation is a move between
+// precomputed stops. counted marks sessions arriving at or after the
+// owner's warmup.
 func (e *Engine) Admit(now float64, orgNode radio.NodeID, org *core.Organizer, counted bool) error {
 	svc := org.Service()
 	st := e.getState()
@@ -377,19 +373,36 @@ func (e *Engine) Admit(now float64, orgNode radio.NodeID, org *core.Organizer, c
 		if err != nil {
 			return err
 		}
-		a, err := cp.Ladder.AssignmentOf(a3.Level)
+		pos, err := pathPos(cp, a3.Level)
 		if err != nil {
 			return fmt.Errorf("adapt: session %s task %s: %w (provider GridSteps mismatch?)", svc.ID, t.ID, err)
 		}
 		ts := e.getTaskState()
 		ts.t, ts.cp, ts.node, ts.comm = t, cp, a3.Node, a3.CommCost
-		ts.cur, ts.admit, ts.admitDist = a, a.Clone(), cp.C.Distance(a)
-		ts.hist = nil
+		ts.pos, ts.admitDist = pos, cp.Path[pos].Distance
+		ts.hist = ts.hist[:0]
 		st.tasks = append(st.tasks, ts)
 	}
 	e.sessions[svc.ID] = st
 	e.order = append(e.order, svc.ID)
 	return nil
+}
+
+// pathPos locates a protocol Level on the problem's degradation path. A
+// provider formulating over the same ladder and penalty only ever
+// proposes stops of this path, so a miss means the two were compiled
+// differently.
+func pathPos(cp *core.CompiledProblem, level qos.Level) (int, error) {
+	a, err := cp.Ladder.AssignmentOf(level)
+	if err != nil {
+		return 0, err
+	}
+	for i := range cp.Path {
+		if slices.Equal(cp.Path[i].Assignment, a) {
+			return i, nil
+		}
+	}
+	return 0, errors.New("level is not a stop of the degradation path")
 }
 
 // Forget closes a session's adaptation record (departure, kill or
@@ -411,7 +424,7 @@ func (e *Engine) Forget(now float64, svcID string) {
 		if len(st.tasks) > 0 {
 			var drift float64
 			for _, ts := range st.tasks {
-				drift += ts.cp.C.Distance(ts.cur) - ts.admitDist
+				drift += ts.stop().Distance - ts.admitDist
 			}
 			e.stats.DriftSum += drift / float64(len(st.tasks))
 			e.stats.DriftN++
@@ -443,6 +456,26 @@ func (e *Engine) counts(now float64) bool { return now >= e.countFrom }
 // sessions the engine decided to kill, in admission order; the owner
 // tears them down.
 func (e *Engine) NodeDown(now float64) (killed []string) {
+	return e.repair(now, func(ts *taskState) bool { return e.cl.Medium.Down(ts.node) }, true)
+}
+
+// NodeUnreachable repairs every live session with a task on a node
+// that froze: still alive and holding its reservations, but radio-dark,
+// so no message in either direction will land until it thaws. Unlike
+// NodeDown the orphans' reservations are NOT dropped — the frozen
+// process still accounts them, and only the owner's reconciliation
+// sweep may reclaim them after the thaw (DESIGN.md §12). Callers
+// should SetAvoid(id, true) first so re-placements skip the node. It
+// returns the sessions the engine decided to kill, in admission order.
+func (e *Engine) NodeUnreachable(now float64, id radio.NodeID) (killed []string) {
+	return e.repair(now, func(ts *taskState) bool { return ts.node == id }, false)
+}
+
+// repair is the churn trigger's body: every live session with a task
+// orphaned(ts) selects is handled per the churn policy, after dropping
+// the orphans' reservations from their old nodes' ledgers when drop is
+// set.
+func (e *Engine) repair(now float64, orphaned func(*taskState) bool, drop bool) (killed []string) {
 	counts := e.counts(now)
 	e.orderScratch = append(e.orderScratch[:0], e.order...)
 	for _, svcID := range e.orderScratch {
@@ -452,7 +485,7 @@ func (e *Engine) NodeDown(now float64) (killed []string) {
 		}
 		orphans := e.orphanBuf[:0]
 		for _, ts := range st.tasks {
-			if e.cl.Medium.Down(ts.node) {
+			if orphaned(ts) {
 				orphans = append(orphans, ts)
 			}
 		}
@@ -463,11 +496,11 @@ func (e *Engine) NodeDown(now float64) (killed []string) {
 		if counts {
 			e.stats.Triggers++
 		}
-		// Ledger hygiene first: the dead nodes' reservations for these
-		// tasks can never be released over the air.
-		for _, ts := range orphans {
-			if n := e.cl.Node(ts.node); n != nil {
-				n.Provider.DropTask(svcID, ts.t.ID)
+		if drop {
+			for _, ts := range orphans {
+				if n := e.cl.Node(ts.node); n != nil {
+					n.Provider.DropTask(svcID, ts.t.ID)
+				}
 			}
 		}
 		if e.cfg.OnChurn == KillAffected {
@@ -497,58 +530,6 @@ func (e *Engine) NodeDown(now float64) (killed []string) {
 	return killed
 }
 
-// NodeUnreachable repairs every live session with a task on a node
-// that froze: still alive and holding its reservations, but radio-dark,
-// so no message in either direction will land until it thaws. Unlike
-// NodeDown the orphans' reservations are NOT dropped — the frozen
-// process still accounts them, and only the owner's reconciliation
-// sweep may reclaim them after the thaw (DESIGN.md §12). Callers
-// should SetAvoid(id, true) first so re-placements skip the node. It
-// returns the sessions the engine decided to kill, in admission order.
-func (e *Engine) NodeUnreachable(now float64, id radio.NodeID) (killed []string) {
-	counts := e.counts(now)
-	e.orderScratch = append(e.orderScratch[:0], e.order...)
-	for _, svcID := range e.orderScratch {
-		st, ok := e.sessions[svcID]
-		if !ok {
-			continue
-		}
-		orphans := e.orphanBuf[:0]
-		for _, ts := range st.tasks {
-			if ts.node == id {
-				orphans = append(orphans, ts)
-			}
-		}
-		e.orphanBuf = orphans[:0]
-		if len(orphans) == 0 {
-			continue
-		}
-		if counts {
-			e.stats.Triggers++
-		}
-		if e.cfg.OnChurn == KillAffected {
-			killed = append(killed, e.kill(now, st, counts))
-			continue
-		}
-		dead := false
-		repaired := 0
-		for _, ts := range orphans {
-			if !e.replace(now, st, ts, counts) {
-				dead = true
-				break
-			}
-			repaired++
-		}
-		if dead {
-			if counts {
-				e.stats.Repairs -= repaired
-			}
-			killed = append(killed, e.kill(now, st, counts))
-		}
-	}
-	return killed
-}
-
 // kill marks the session dead and records the event; the owner performs
 // the actual teardown (which calls Forget).
 func (e *Engine) kill(now float64, st *state, counts bool) string {
@@ -561,36 +542,24 @@ func (e *Engine) kill(now float64, st *state, counts bool) string {
 }
 
 // replace re-places one churn-orphaned task per the configured policy,
-// returning false when no reachable node can host it.
+// returning false when no reachable node can host it. Each candidate
+// node picks its own stopping point on the degradation path: the first
+// stop it can reserve among all of them (DegradeToFit), or the task's
+// current stop or nothing (MigrateExact).
 func (e *Engine) replace(now float64, st *state, ts *taskState, counts bool) bool {
 	type placement struct {
 		node radio.NodeID
-		// stop indexes the candidate's degradation-path stop
-		// (DegradeToFit only, -1 for MigrateExact); the winner's
-		// assignment and history are cloned out of the shared stops
-		// cache only after selection.
-		stop int
+		pos  int
 		dist float64
 		comm float64
 	}
+	path := ts.cp.Path
+	lo, hi := 0, len(path)
+	if e.cfg.OnChurn == MigrateExact {
+		lo, hi = ts.pos, ts.pos+1
+	}
 	var best placement
 	haveBest := false
-	var curDemand resource.Vector
-	var curDist float64
-	var stops []pathStop
-	if e.cfg.OnChurn == MigrateExact {
-		d, err := ts.cp.DemandAt(ts.cur)
-		if err != nil {
-			return false
-		}
-		curDemand, curDist = d, ts.cp.C.Distance(ts.cur)
-	} else {
-		// The degradation path is availability-independent (see
-		// WalkDegradationPath), so its dep-consistent stops and their
-		// demands are computed once; each candidate node only picks its
-		// own stopping point below.
-		stops = e.stopsFor(ts.cp)
-	}
 	for _, id := range e.cl.Medium.IDs() {
 		if e.cl.Medium.Down(id) || e.avoid[id] {
 			continue
@@ -599,26 +568,14 @@ func (e *Engine) replace(now float64, st *state, ts *taskState, counts bool) boo
 			continue
 		}
 		res := e.cl.Node(id).Res
-		var cand placement
-		switch e.cfg.OnChurn {
-		case MigrateExact:
-			if !res.CanReserve(curDemand) {
-				continue
-			}
-			cand = placement{node: id, stop: -1, dist: curDist}
-		default: // DegradeToFit
-			stop := -1
-			for i := range stops {
-				if res.CanReserve(stops[i].demand) {
-					stop = i
-					break
-				}
-			}
-			if stop < 0 {
-				continue
-			}
-			cand = placement{node: id, stop: stop, dist: ts.cp.C.Distance(stops[stop].a)}
+		cand := placement{node: id, pos: lo}
+		for cand.pos < hi && !res.CanReserve(path[cand.pos].Demand) {
+			cand.pos++
 		}
+		if cand.pos == hi {
+			continue
+		}
+		cand.dist = path[cand.pos].Distance
 		if id != st.orgNode {
 			cand.comm = e.cl.Medium.TxTime(st.orgNode, id, ts.t.DataBytes())
 		}
@@ -634,81 +591,31 @@ func (e *Engine) replace(now float64, st *state, ts *taskState, counts bool) boo
 	if !haveBest {
 		return false
 	}
-	// Materialize the winner only: clone its assignment (and, for a
-	// degraded placement, the richer stops before it — the task's new
-	// upgrade-reclamation history) out of the shared stops cache.
-	a, hist := ts.cur.Clone(), ts.hist
-	if best.stop >= 0 {
-		a = stops[best.stop].a.Clone()
-		hist = make([]qos.Assignment, best.stop)
-		for i := 0; i < best.stop; i++ {
-			hist[i] = stops[i].a.Clone()
-		}
-	}
-	demand, err := ts.cp.DemandAt(a)
-	if err != nil {
-		return false
-	}
+	s := &path[best.pos]
 	prov := e.cl.Node(best.node).Provider
-	if err := prov.AdoptReservation(st.orgNode, st.svcID, ts.t.ID, demand); err != nil {
+	if err := prov.AdoptReservation(st.orgNode, st.svcID, ts.t.ID, s.Demand); err != nil {
 		return false
 	}
 	st.org.ApplyAdaptation(ts.t.ID, core.Assignment3{
-		TaskID: ts.t.ID, Node: best.node, Level: ts.cp.Ladder.Level(a),
-		Distance: best.dist, CommCost: best.comm,
+		TaskID: ts.t.ID, Node: best.node, Level: ts.cp.Ladder.Level(s.Assignment),
+		Distance: s.Distance, CommCost: best.comm,
 	})
 	ts.node = best.node
 	ts.comm = best.comm
-	ts.cur = a
-	ts.hist = hist
-	st.events = append(st.events, Event{T: now, Kind: "repair", Task: ts.t.ID, Node: best.node, Distance: best.dist})
+	ts.pos = best.pos
+	if e.cfg.OnChurn == DegradeToFit {
+		// Every richer stop becomes the task's upgrade-reclamation
+		// history.
+		ts.hist = ts.hist[:0]
+		for i := 0; i < best.pos; i++ {
+			ts.hist = append(ts.hist, i)
+		}
+	}
+	st.events = append(st.events, Event{T: now, Kind: "repair", Task: ts.t.ID, Node: best.node, Distance: s.Distance})
 	if counts {
 		e.stats.Repairs++
 	}
 	return true
-}
-
-// pathStop is one dep-consistent stop of the Section 5 degradation
-// path with its demand, from most to least preferred.
-type pathStop struct {
-	a      qos.Assignment
-	demand resource.Vector
-}
-
-// stopsFor returns the cached degradation-path stops of a compiled
-// problem, enumerating them on first use.
-func (e *Engine) stopsFor(cp *core.CompiledProblem) []pathStop {
-	if s, ok := e.stops[cp]; ok {
-		return s
-	}
-	s := degradationStops(cp)
-	e.stops[cp] = s
-	return s
-}
-
-// degradationStops enumerates the dep-consistent stops of the
-// degradation path from the all-preferred assignment to ladder
-// exhaustion. The path is availability-independent, so the result
-// serves every candidate node of a re-placement: a node's repair level
-// is simply the first stop whose demand it can reserve, and the stops
-// before it become the task's upgrade-reclamation history.
-func degradationStops(cp *core.CompiledProblem) []pathStop {
-	a := cp.Ladder.NewAssignment()
-	var stops []pathStop
-	for {
-		if ok, _ := cp.C.DepsSatisfied(a); ok {
-			demand, err := cp.DemandAt(a)
-			if err != nil {
-				return nil
-			}
-			stops = append(stops, pathStop{a: a.Clone(), demand: demand})
-		}
-		i, ok := cp.NextDegradation(a)
-		if !ok {
-			return stops
-		}
-		a[i]++
-	}
 }
 
 // nodeUtil is a node's maximum per-kind utilisation (1 - avail/cap).
@@ -775,61 +682,53 @@ func (e *Engine) shedNode(now float64, id radio.NodeID, counts bool) {
 	}
 }
 
-// degradeStep walks the task one dep-consistent step down its ladder —
-// continuing past steps that relieve nothing until one strictly lowers
-// demand in some kind — and applies it exactly: resize the reservation,
-// publish the new level to the organizer, push the old assignment onto
-// the round-trip history.
-func (e *Engine) degradeStep(now float64, st *state, ts *taskState, counts bool) bool {
-	curDemand, err := ts.cp.DemandAt(ts.cur)
-	if err != nil {
-		return false
-	}
-	a := ts.cur.Clone()
-	for {
-		i, ok := ts.cp.NextDegradation(a)
-		if !ok {
-			return false
-		}
-		a[i]++
-		if ok, _ := ts.cp.C.DepsSatisfied(a); !ok {
-			continue
-		}
-		demand, err := ts.cp.DemandAt(a)
-		if err != nil {
-			return false
-		}
-		relieves := false
-		for k := range demand {
-			if demand[k] < curDemand[k] {
-				relieves = true
-				break
+// nextRelieving returns the position of the first stop after the task's
+// current one that strictly lowers demand in some kind, or -1. Stops
+// that free nothing are not worth applying and are walked past; they
+// are never pushed onto hist — the history records applied states only,
+// so one counted degrade reverses as exactly one counted upgrade.
+func (ts *taskState) nextRelieving() int {
+	cur := &ts.stop().Demand
+	for pos := ts.pos + 1; pos < len(ts.cp.Path); pos++ {
+		for k, d := range ts.cp.Path[pos].Demand {
+			if d < cur[k] {
+				return pos
 			}
 		}
-		if !relieves {
-			// A stop that frees nothing is not worth applying; keep
-			// walking. It is deliberately NOT pushed onto hist — the
-			// history records applied states only, so one counted
-			// degrade reverses as exactly one counted upgrade.
-			continue
-		}
-		prov := e.cl.Node(ts.node).Provider
-		if err := prov.ResizeReservation(st.svcID, ts.t.ID, demand); err != nil {
-			return false
-		}
-		dist := ts.cp.C.Distance(a)
-		st.org.ApplyAdaptation(ts.t.ID, core.Assignment3{
-			TaskID: ts.t.ID, Node: ts.node, Level: ts.cp.Ladder.Level(a),
-			Distance: dist, CommCost: ts.comm,
-		})
-		ts.hist = append(ts.hist, ts.cur)
-		ts.cur = a
-		st.events = append(st.events, Event{T: now, Kind: "degrade", Task: ts.t.ID, Node: ts.node, Distance: dist})
-		if counts {
-			e.stats.Degrades++
-		}
-		return true
 	}
+	return -1
+}
+
+// moveTo applies a same-node level change exactly: resize the
+// reservation to the stop's demand, publish the new level to the
+// organizer, record the event.
+func (e *Engine) moveTo(now float64, st *state, ts *taskState, pos int, kind string) bool {
+	s := &ts.cp.Path[pos]
+	prov := e.cl.Node(ts.node).Provider
+	if err := prov.ResizeReservation(st.svcID, ts.t.ID, s.Demand); err != nil {
+		return false
+	}
+	st.org.ApplyAdaptation(ts.t.ID, core.Assignment3{
+		TaskID: ts.t.ID, Node: ts.node, Level: ts.cp.Ladder.Level(s.Assignment),
+		Distance: s.Distance, CommCost: ts.comm,
+	})
+	ts.pos = pos
+	st.events = append(st.events, Event{T: now, Kind: kind, Task: ts.t.ID, Node: ts.node, Distance: s.Distance})
+	return true
+}
+
+// degradeStep moves the task to its next relieving stop and pushes the
+// position it left onto the round-trip history.
+func (e *Engine) degradeStep(now float64, st *state, ts *taskState, counts bool) bool {
+	from, next := ts.pos, ts.nextRelieving()
+	if next < 0 || !e.moveTo(now, st, ts, next, "degrade") {
+		return false
+	}
+	ts.hist = append(ts.hist, from)
+	if counts {
+		e.stats.Degrades++
+	}
+	return true
 }
 
 // EpochScan is the periodic reclamation trigger: previously degraded
@@ -861,45 +760,43 @@ func (e *Engine) EpochScan(now float64) {
 	}
 }
 
-// upgradeStep pops one entry of the task's degrade history when the
-// richer level fits under the UtilLow ceiling, applying it exactly.
+// upgradeStep is the reclamation step: restoreStep, gated on the richer
+// level fitting under the UtilLow ceiling.
 func (e *Engine) upgradeStep(now float64, st *state, ts *taskState) bool {
-	if len(ts.hist) == 0 || e.cl.Medium.Down(ts.node) || e.avoid[ts.node] {
+	if len(ts.hist) == 0 {
 		return false
 	}
-	prev := ts.hist[len(ts.hist)-1]
-	prevDemand, err := ts.cp.DemandAt(prev)
-	if err != nil {
-		return false
-	}
-	curDemand, err := ts.cp.DemandAt(ts.cur)
-	if err != nil {
-		return false
-	}
+	prev, cur := &ts.cp.Path[ts.hist[len(ts.hist)-1]].Demand, &ts.stop().Demand
 	cap, avail := e.cl.Node(ts.node).Res.Usage()
 	for k := range cap {
 		if cap[k] <= 0 {
 			continue
 		}
-		after := 1 - (avail[k]-(prevDemand[k]-curDemand[k]))/cap[k]
+		after := 1 - (avail[k]-(prev[k]-cur[k]))/cap[k]
 		if after > e.cfg.UtilLow {
 			return false
 		}
 	}
-	prov := e.cl.Node(ts.node).Provider
-	if err := prov.ResizeReservation(st.svcID, ts.t.ID, prevDemand); err != nil {
+	if !e.restoreStep(now, st, ts, "upgrade") {
 		return false
 	}
-	dist := ts.cp.C.Distance(prev)
-	st.org.ApplyAdaptation(ts.t.ID, core.Assignment3{
-		TaskID: ts.t.ID, Node: ts.node, Level: ts.cp.Ladder.Level(prev),
-		Distance: dist, CommCost: ts.comm,
-	})
-	ts.hist = ts.hist[:len(ts.hist)-1]
-	ts.cur = prev
-	st.events = append(st.events, Event{T: now, Kind: "upgrade", Task: ts.t.ID, Node: ts.node, Distance: dist})
 	if e.counts(now) {
 		e.stats.Upgrades++
 	}
+	return true
+}
+
+// restoreStep pops one entry of the task's degrade history and applies
+// it exactly; feasibility is enforced by the reservation resize. kind
+// names the event: "upgrade" for slack reclamation, "revert" for a yield
+// rollback (yield.go).
+func (e *Engine) restoreStep(now float64, st *state, ts *taskState, kind string) bool {
+	if len(ts.hist) == 0 || e.cl.Medium.Down(ts.node) || e.avoid[ts.node] {
+		return false
+	}
+	if !e.moveTo(now, st, ts, ts.hist[len(ts.hist)-1], kind) {
+		return false
+	}
+	ts.hist = ts.hist[:len(ts.hist)-1]
 	return true
 }

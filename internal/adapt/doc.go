@@ -4,18 +4,18 @@
 // run-time adaptation ("applications ... can dynamically change the
 // executing quality level", Section 4) at neighbourhood scale.
 //
-// The engine watches three triggers and answers each with the compiled
-// formulation fast path (core.CompiledProblem, DESIGN.md §7) re-run over
-// the affected sessions' slots:
+// The engine watches three triggers and answers each by moving the
+// affected sessions' tasks along their precomputed degradation paths
+// (core.CompiledProblem.Path, DESIGN.md §7):
 //
 //   - Node churn: when a helper node drops off the air, every live
 //     session with a task on it is repaired per the configured
 //     ChurnPolicy — killed outright (the PR-3 behaviour made explicit),
-//     migrated at its current level, or re-placed via the degradation
-//     walk at the smallest QoS degradation that restores feasibility.
+//     migrated at its current level, or re-placed at the first stop of
+//     the degradation path a reachable node can host.
 //   - Utilisation pressure: when a node's utilisation crosses UtilHigh,
-//     sessions holding reservations there shed QoS one dep-consistent
-//     ladder step at a time until the node recovers.
+//     sessions holding reservations there shed QoS one path stop at a
+//     time until the node recovers.
 //   - Adaptation epochs: every Epoch seconds of simulated time a
 //     reclamation scan upgrades previously degraded sessions back toward
 //     their admission-time level wherever capacity has freed, with
@@ -27,9 +27,10 @@
 // accounting see adapted sessions identically to awarded ones) and
 // published to the session's Organizer via ApplyAdaptation (so sampled
 // QoS distance and departure statistics report the current level, not
-// the admission-time one). Degrade history is kept as a stack of
-// dep-consistent assignments per task, which makes degrade→upgrade
-// round-trips exact and epoch scans idempotent at a fixpoint.
+// the admission-time one). A live task is a position on its compiled
+// problem's degradation path plus a stack of the positions it degraded
+// away from, which makes degrade→upgrade round-trips exact and epoch
+// scans idempotent at a fixpoint.
 //
 // Determinism: the engine draws no randomness. All scans iterate
 // sessions in admission order, tasks in declaration order and candidate

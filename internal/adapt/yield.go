@@ -1,11 +1,8 @@
 package adapt
 
 import (
-	"math"
 	"sort"
 
-	"repro/internal/core"
-	"repro/internal/qos"
 	"repro/internal/radio"
 	"repro/internal/task"
 )
@@ -16,26 +13,16 @@ import (
 // incumbent degrade steps with Yield while the cumulative utility cost
 // stays strictly under that gain, and settles with YieldResolve once the
 // retried formation resolves — commit on admission, best-effort rollback
-// on failure. The steps themselves are the ordinary dep-consistent
-// ladder steps of degradeStep/upgradeStep, so everything stays on the
-// compiled fast path and degrade→revert round-trips are float64-exact.
+// on failure. The steps themselves are the ordinary moves between
+// degradation-path stops of degradeStep/restoreStep, and a step's price
+// is read off the stop degradeStep will move to, so the price quoted is
+// the price paid and degrade→revert round-trips are float64-exact.
 
 // yieldMark remembers one incumbent degrade applied on behalf of a
 // pending yield admission, so a failed retry can roll it back.
 type yieldMark struct {
 	svcID  string
 	taskID string
-}
-
-// evalFor caches the eq. 3 evaluator of a compiled problem; it shares
-// the problem's Spec/Req, so cache identity follows cp identity.
-func (e *Engine) evalFor(cp *core.CompiledProblem) *qos.Evaluator {
-	if ev, ok := e.evals[cp]; ok {
-		return ev
-	}
-	ev := &qos.Evaluator{Spec: cp.Spec, Req: cp.Req}
-	e.evals[cp] = ev
-	return ev
 }
 
 // SessionBestUtility returns the eq. 3 utility the service would earn if
@@ -50,17 +37,16 @@ func (e *Engine) SessionBestUtility(svc *task.Service) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		stops := e.stopsFor(cp)
-		if len(stops) == 0 {
+		if len(cp.Path) == 0 {
 			continue
 		}
-		best := math.Inf(1)
-		for i := range stops {
-			if d := cp.C.Distance(stops[i].a); d < best {
-				best = d
+		best := &cp.Path[0]
+		for i := range cp.Path {
+			if cp.Path[i].Distance < best.Distance {
+				best = &cp.Path[i]
 			}
 		}
-		u += e.evalFor(cp).Utility(best)
+		u += best.Utility
 	}
 	return u, nil
 }
@@ -123,11 +109,15 @@ func (e *Engine) yieldStep(now float64, forSvc string, budget float64) (float64,
 				if ts.node != c.id {
 					continue
 				}
-				price, ok := e.priceDegrade(ts)
-				if !ok || price >= budget {
+				next := ts.nextRelieving()
+				if next < 0 {
 					continue
 				}
-				if !e.degradeStep(now, st, ts, counts) {
+				// Clamped nonnegative: distance is non-decreasing along
+				// the path, but clamping keeps the budget arithmetic safe
+				// regardless.
+				price := max(ts.stop().Utility-ts.cp.Path[next].Utility, 0)
+				if price >= budget || !e.degradeStep(now, st, ts, counts) {
 					continue
 				}
 				e.yields[forSvc] = append(e.yields[forSvc], yieldMark{svcID: st.svcID, taskID: ts.t.ID})
@@ -136,48 +126,6 @@ func (e *Engine) yieldStep(now float64, forSvc string, budget float64) (float64,
 		}
 	}
 	return 0, false
-}
-
-// priceDegrade walks the same next-relieving-stop search as degradeStep
-// without applying it, returning the step's utility price (clamped
-// nonnegative: distance is non-decreasing along the path, but clamping
-// keeps the budget arithmetic safe regardless).
-func (e *Engine) priceDegrade(ts *taskState) (float64, bool) {
-	curDemand, err := ts.cp.DemandAt(ts.cur)
-	if err != nil {
-		return 0, false
-	}
-	a := ts.cur.Clone()
-	for {
-		i, ok := ts.cp.NextDegradation(a)
-		if !ok {
-			return 0, false
-		}
-		a[i]++
-		if ok, _ := ts.cp.C.DepsSatisfied(a); !ok {
-			continue
-		}
-		demand, err := ts.cp.DemandAt(a)
-		if err != nil {
-			return 0, false
-		}
-		relieves := false
-		for k := range demand {
-			if demand[k] < curDemand[k] {
-				relieves = true
-				break
-			}
-		}
-		if !relieves {
-			continue
-		}
-		ev := e.evalFor(ts.cp)
-		price := ev.Utility(ts.cp.C.Distance(ts.cur)) - ev.Utility(ts.cp.C.Distance(a))
-		if price < 0 {
-			price = 0
-		}
-		return price, true
-	}
 }
 
 // YieldResolve settles the yield journal of forSvc: on commit the
@@ -206,41 +154,15 @@ func (e *Engine) YieldResolve(now float64, forSvc string, commit bool) (reverted
 			if ts.t.ID != m.taskID {
 				continue
 			}
-			if e.revertStep(now, st, ts) {
+			// Not slack-gated like upgradeStep — a rollback restores what
+			// the failed admission took, it does not wait for slack — and
+			// deliberately not counted as an Upgrade: reclamation stats
+			// measure slack recovery, not un-doing an admission attempt.
+			if e.restoreStep(now, st, ts, "revert") {
 				reverted++
 			}
 			break
 		}
 	}
 	return reverted
-}
-
-// revertStep pops one entry of the task's degrade history like
-// upgradeStep, but without the UtilLow slack ceiling — a yield rollback
-// restores what the failed admission took, it does not wait for slack.
-// Feasibility is still enforced by the reservation resize. Deliberately
-// not counted as an Upgrade: reclamation stats measure slack recovery,
-// not un-doing an admission attempt.
-func (e *Engine) revertStep(now float64, st *state, ts *taskState) bool {
-	if len(ts.hist) == 0 || e.cl.Medium.Down(ts.node) || e.avoid[ts.node] {
-		return false
-	}
-	prev := ts.hist[len(ts.hist)-1]
-	prevDemand, err := ts.cp.DemandAt(prev)
-	if err != nil {
-		return false
-	}
-	prov := e.cl.Node(ts.node).Provider
-	if err := prov.ResizeReservation(st.svcID, ts.t.ID, prevDemand); err != nil {
-		return false
-	}
-	dist := ts.cp.C.Distance(prev)
-	st.org.ApplyAdaptation(ts.t.ID, core.Assignment3{
-		TaskID: ts.t.ID, Node: ts.node, Level: ts.cp.Ladder.Level(prev),
-		Distance: dist, CommCost: ts.comm,
-	})
-	ts.hist = ts.hist[:len(ts.hist)-1]
-	ts.cur = prev
-	st.events = append(st.events, Event{T: now, Kind: "revert", Task: ts.t.ID, Node: ts.node, Distance: dist})
-	return true
 }

@@ -128,21 +128,67 @@ func evaluatorFor(p *Problem, t *task.Task) (*qos.Evaluator, error) {
 	return qos.NewEvaluator(p.Service.Spec, &t.Request)
 }
 
+// compileTask compiles one task's formulation problem; allocators do it
+// once per task and formulate against as many nodes as they probe.
+func compileTask(p *Problem, t *task.Task) (*core.CompiledProblem, error) {
+	return core.CompileProblem(p.Service.Spec, &t.Request, t.Demand, p.GridSteps, p.Penalty)
+}
+
 // formulateOn runs the provider-side heuristic for a task against one
 // node's snapshot, reserving on success so that subsequent tasks see the
 // reduced availability (mirrors award-time reservation).
-func formulateOn(p *Problem, n NodeView, t *task.Task, reserve bool) (*core.Formulation, error) {
-	f, err := core.Formulate(p.Service.Spec, &t.Request, t.Demand, n.Res.CanReserve, p.GridSteps, p.Penalty)
+func formulateOn(p *Problem, cp *core.CompiledProblem, n NodeView, t *task.Task) (*core.Formulation, error) {
+	f, err := cp.Formulate(n.Res.CanReserve)
 	if err != nil {
 		return nil, err
 	}
-	if reserve {
-		id := resource.ReservationID(p.Service.ID + "/" + t.ID)
-		if rerr := n.Res.Reserve(id, f.Demand); rerr != nil {
-			return nil, rerr
-		}
+	id := resource.ReservationID(p.Service.ID + "/" + t.ID)
+	if rerr := n.Res.Reserve(id, f.Demand); rerr != nil {
+		return nil, rerr
 	}
 	return f, nil
+}
+
+// firstFit serves each task on the first node, in the order probe()
+// yields for it, whose formulation succeeds: compiled once per task,
+// formulated once per probed node. It is the shared body of the three
+// quality-blind allocators, which differ only in the probe order.
+func firstFit(p *Problem, probe func() []NodeView) (*Allocation, error) {
+	out := &Allocation{}
+	for _, t := range p.Service.Tasks {
+		eval, err := evaluatorFor(p, t)
+		if err != nil {
+			return nil, err
+		}
+		// Probed for every task, compilable or not: Random's stream must
+		// not depend on which tasks are servable.
+		nodes := probe()
+		cp, err := compileTask(p, t)
+		if err != nil {
+			out.Unserved = append(out.Unserved, t.ID) // unservable on every node
+			continue
+		}
+		served := false
+		for _, n := range nodes {
+			f, ferr := formulateOn(p, cp, n, t)
+			if ferr != nil {
+				continue
+			}
+			d, derr := eval.Distance(f.Level)
+			if derr != nil {
+				return nil, derr
+			}
+			out.Assigned = append(out.Assigned, TaskAlloc{
+				TaskID: t.ID, Node: n.ID, Level: f.Level, Distance: d, Reward: f.Reward,
+			})
+			served = true
+			break
+		}
+		if !served {
+			out.Unserved = append(out.Unserved, t.ID)
+		}
+	}
+	return out, nil
 }
 
 // LocalOnly serves every task on the organizer node.
@@ -153,35 +199,13 @@ func (LocalOnly) Name() string { return "local-only" }
 
 // Allocate implements Allocator.
 func (LocalOnly) Allocate(p *Problem) (*Allocation, error) {
-	var organizer *NodeView
 	for i := range p.Nodes {
 		if p.Nodes[i].ID == p.Organizer {
-			organizer = &p.Nodes[i]
+			organizer := p.Nodes[i : i+1]
+			return firstFit(p, func() []NodeView { return organizer })
 		}
 	}
-	if organizer == nil {
-		return nil, fmt.Errorf("baseline: organizer %d not among nodes", p.Organizer)
-	}
-	out := &Allocation{}
-	for _, t := range p.Service.Tasks {
-		eval, err := evaluatorFor(p, t)
-		if err != nil {
-			return nil, err
-		}
-		f, err := formulateOn(p, *organizer, t, true)
-		if err != nil {
-			out.Unserved = append(out.Unserved, t.ID)
-			continue
-		}
-		d, err := eval.Distance(f.Level)
-		if err != nil {
-			return nil, err
-		}
-		out.Assigned = append(out.Assigned, TaskAlloc{
-			TaskID: t.ID, Node: organizer.ID, Level: f.Level, Distance: d, Reward: f.Reward,
-		})
-	}
-	return out, nil
+	return nil, fmt.Errorf("baseline: organizer %d not among nodes", p.Organizer)
 }
 
 // Random picks a uniformly random node that can serve each task.
@@ -198,35 +222,13 @@ func (r Random) Allocate(p *Problem) (*Allocation, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	out := &Allocation{}
-	for _, t := range p.Service.Tasks {
-		eval, err := evaluatorFor(p, t)
-		if err != nil {
-			return nil, err
+	nodes := make([]NodeView, len(p.Nodes))
+	return firstFit(p, func() []NodeView {
+		for i, idx := range rng.Perm(len(p.Nodes)) {
+			nodes[i] = p.Nodes[idx]
 		}
-		perm := rng.Perm(len(p.Nodes))
-		served := false
-		for _, idx := range perm {
-			n := p.Nodes[idx]
-			f, ferr := formulateOn(p, n, t, true)
-			if ferr != nil {
-				continue
-			}
-			d, derr := eval.Distance(f.Level)
-			if derr != nil {
-				return nil, derr
-			}
-			out.Assigned = append(out.Assigned, TaskAlloc{
-				TaskID: t.ID, Node: n.ID, Level: f.Level, Distance: d, Reward: f.Reward,
-			})
-			served = true
-			break
-		}
-		if !served {
-			out.Unserved = append(out.Unserved, t.ID)
-		}
-	}
-	return out, nil
+		return nodes
+	})
 }
 
 // Greedy assigns each task to the first node (by ID) that can serve it at
@@ -240,33 +242,7 @@ func (Greedy) Name() string { return "greedy-first-fit" }
 func (Greedy) Allocate(p *Problem) (*Allocation, error) {
 	nodes := append([]NodeView(nil), p.Nodes...)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	out := &Allocation{}
-	for _, t := range p.Service.Tasks {
-		eval, err := evaluatorFor(p, t)
-		if err != nil {
-			return nil, err
-		}
-		served := false
-		for _, n := range nodes {
-			f, ferr := formulateOn(p, n, t, true)
-			if ferr != nil {
-				continue
-			}
-			d, derr := eval.Distance(f.Level)
-			if derr != nil {
-				return nil, derr
-			}
-			out.Assigned = append(out.Assigned, TaskAlloc{
-				TaskID: t.ID, Node: n.ID, Level: f.Level, Distance: d, Reward: f.Reward,
-			})
-			served = true
-			break
-		}
-		if !served {
-			out.Unserved = append(out.Unserved, t.ID)
-		}
-	}
-	return out, nil
+	return firstFit(p, func() []NodeView { return nodes })
 }
 
 // Optimal finds the feasible task->node assignment minimizing
@@ -392,7 +368,7 @@ func (o Optimal) AllocateCounted(p *Problem) (*Allocation, int64, error) {
 		// A task whose problem does not compile is exactly as servable
 		// as one whose formulation fails on every node: not at all. The
 		// enumerator treats both as infeasible branches, not errors.
-		if cp, err := core.CompileProblem(p.Service.Spec, &t.Request, t.Demand, p.GridSteps, p.Penalty); err == nil {
+		if cp, err := compileTask(p, t); err == nil {
 			s.cps[i] = cp
 		}
 	}
@@ -408,7 +384,7 @@ func (o Optimal) AllocateCounted(p *Problem) (*Allocation, int64, error) {
 	if s.best == nil {
 		return &Allocation{Unserved: taskIDs(p)}, s.explored, nil
 	}
-	a, err := materialize(p, evals, s.best)
+	a, err := materialize(p, evals, s.cps, s.best)
 	return a, s.explored, err
 }
 
@@ -423,13 +399,11 @@ func taskDistanceLB(cp *core.CompiledProblem) float64 {
 	if cp == nil {
 		return lb
 	}
-	cp.WalkDegradationPath(func(a qos.Assignment) {
-		if ok, _ := cp.C.DepsSatisfied(a); ok {
-			if d := cp.C.Distance(a); d < lb {
-				lb = d
-			}
+	for i := range cp.Path {
+		if d := cp.Path[i].Distance; d < lb {
+			lb = d
 		}
-	})
+	}
 	return lb
 }
 
@@ -566,7 +540,7 @@ func (o OptimalExhaustive) Allocate(p *Problem) (*Allocation, error) {
 	// on every node, exactly like a task whose formulation always fails.
 	cps := make([]*core.CompiledProblem, nT)
 	for i, t := range p.Service.Tasks {
-		if cp, err := core.CompileProblem(p.Service.Spec, &t.Request, t.Demand, p.GridSteps, p.Penalty); err == nil {
+		if cp, err := compileTask(p, t); err == nil {
 			cps[i] = cp
 		}
 	}
@@ -602,7 +576,7 @@ func (o OptimalExhaustive) Allocate(p *Problem) (*Allocation, error) {
 	if best == nil {
 		return &Allocation{Unserved: taskIDs(p)}, nil
 	}
-	return materialize(p, evals, best)
+	return materialize(p, evals, cps, best)
 }
 
 func lessKey(a, b [3]float64) bool {
@@ -653,7 +627,7 @@ func (o OptimalExhaustive) scoreAssign(p *Problem, evals []*qos.Evaluator, cps [
 }
 
 // materialize re-runs the winning assignment against the real node sets.
-func materialize(p *Problem, evals []*qos.Evaluator, assign []int) (*Allocation, error) {
+func materialize(p *Problem, evals []*qos.Evaluator, cps []*core.CompiledProblem, assign []int) (*Allocation, error) {
 	out := &Allocation{}
 	for ti, t := range p.Service.Tasks {
 		choice := assign[ti]
@@ -662,7 +636,7 @@ func materialize(p *Problem, evals []*qos.Evaluator, assign []int) (*Allocation,
 			continue
 		}
 		n := p.Nodes[choice]
-		f, err := formulateOn(p, n, t, true)
+		f, err := formulateOn(p, cps[ti], n, t)
 		if err != nil {
 			out.Unserved = append(out.Unserved, t.ID)
 			continue

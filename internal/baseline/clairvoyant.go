@@ -79,17 +79,11 @@ type Clairvoyant struct {
 	MaxNodes int64
 }
 
-// cvStop is one admissible way to serve a task: a dependency-consistent
-// degradation-path stop's demand vector and utility.
-type cvStop struct {
-	demand resource.Vector
-	util   float64
-}
-
-// cvTask is a trace task compiled to its stop menu; an empty menu means
+// cvTask is a trace task compiled to its stop menu — its degradation
+// path, each stop one admissible way to serve it; an empty menu means
 // the task — and therefore its session — can never be served.
 type cvTask struct {
-	stops []cvStop
+	stops []core.Stop
 	maxU  float64
 }
 
@@ -108,23 +102,11 @@ func compileTrace(tr *Trace) []cvSession {
 		cs := cvSession{servable: true}
 		for _, t := range s.Service.Tasks {
 			var ct cvTask
-			cp, err := core.CompileProblem(s.Service.Spec, &t.Request, t.Demand, tr.GridSteps, tr.Penalty)
-			if err == nil {
-				ev := &qos.Evaluator{Spec: s.Service.Spec, Req: cp.Req}
-				cp.WalkDegradationPath(func(a qos.Assignment) {
-					if ok, _ := cp.C.DepsSatisfied(a); !ok {
-						return
-					}
-					d, derr := cp.DemandAt(a)
-					if derr != nil {
-						return
-					}
-					u := ev.Utility(cp.C.Distance(a))
-					ct.stops = append(ct.stops, cvStop{demand: d, util: u})
-					if u > ct.maxU {
-						ct.maxU = u
-					}
-				})
+			if cp, err := core.CompileProblem(s.Service.Spec, &t.Request, t.Demand, tr.GridSteps, tr.Penalty); err == nil {
+				ct.stops = cp.Path
+				for j := range ct.stops {
+					ct.maxU = max(ct.maxU, ct.stops[j].Utility)
+				}
 			}
 			if len(ct.stops) == 0 {
 				cs.servable = false
@@ -247,7 +229,7 @@ func (s *cvSearch) usageAt(t float64, upto int) []resource.Vector {
 		}
 		for ti := range s.sess[j].tasks {
 			ch := s.choice[s.tasksAt[j]+ti]
-			use[ch[0]] = use[ch[0]].Add(s.sess[j].tasks[ti].stops[ch[1]].demand)
+			use[ch[0]] = use[ch[0]].Add(s.sess[j].tasks[ti].stops[ch[1]].Demand)
 		}
 	}
 	return use
@@ -269,13 +251,13 @@ func (s *cvSearch) place(i, ti int, use []resource.Vector) error {
 				return fmt.Errorf("baseline: clairvoyant search explored more than %d nodes", s.maxNodes)
 			}
 			st := &ct.stops[si]
-			if !cvFits(use[ni], st.demand, s.caps[ni]) {
+			if !cvFits(use[ni], st.Demand, s.caps[ni]) {
 				continue
 			}
 			saved := use[ni]
-			use[ni] = saved.Add(st.demand)
+			use[ni] = saved.Add(st.Demand)
 			prevU := s.util
-			s.util = prevU + st.util
+			s.util = prevU + st.Utility
 			s.choice[s.tasksAt[i]+ti] = [2]int{ni, si}
 			err := s.place(i, ti+1, use)
 			s.util = prevU
@@ -352,9 +334,9 @@ func (c Clairvoyant) Bound(tr *Trace) (float64, error) {
 				mink[k] = math.Inf(1)
 			}
 			for _, st := range ct.stops {
-				for k := range st.demand {
-					if st.demand[k] < mink[k] {
-						mink[k] = st.demand[k]
+				for k := range st.Demand {
+					if st.Demand[k] < mink[k] {
+						mink[k] = st.Demand[k]
 					}
 				}
 			}

@@ -55,7 +55,7 @@ func exhaustiveBest(t *testing.T, tr *Trace) float64 {
 				}
 				for ti := range sess[j].tasks {
 					ch := choice[j][ti]
-					use[ch[0]] = use[ch[0]].Add(sess[j].tasks[ti].stops[ch[1]].demand)
+					use[ch[0]] = use[ch[0]].Add(sess[j].tasks[ti].stops[ch[1]].Demand)
 				}
 			}
 			for ni := range caps {
@@ -79,7 +79,7 @@ func exhaustiveBest(t *testing.T, tr *Trace) float64 {
 		for ni := range caps {
 			for si := range sess[i].tasks[ti].stops {
 				choice[i][ti] = [2]int{ni, si}
-				placeAll(i, ti+1, util+sess[i].tasks[ti].stops[si].util)
+				placeAll(i, ti+1, util+sess[i].tasks[ti].stops[si].Utility)
 			}
 		}
 	}

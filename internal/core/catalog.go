@@ -68,9 +68,10 @@ func (c *Catalog) Demand(ref string) (task.DemandModel, bool) {
 	return d, ok
 }
 
-// RegisterService adds the service's spec (if absent) and returns CFP
-// task descriptors with demand references of the form "svc/task",
-// registering each task's demand model under that reference.
+// RegisterService validates the service, adds its spec (if absent) and
+// registers each task's demand model under the task's demand reference
+// (task.Task.Ref: the shared DemandRef, or "svc/task"); the first
+// registration of a reference wins.
 func (c *Catalog) RegisterService(s *task.Service) error {
 	if err := s.Validate(); err != nil {
 		return err

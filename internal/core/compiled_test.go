@@ -107,8 +107,8 @@ func TestCompiledFormulateMatchesFallback(t *testing.T) {
 }
 
 // TestCompiledProblemReuse: one compiled problem formulated against
-// shrinking availability must behave exactly like fresh one-shot calls
-// (providers cache compiled problems across CFP rounds).
+// shrinking availability must behave exactly like a freshly compiled one
+// per call (providers cache compiled problems across CFP rounds).
 func TestCompiledProblemReuse(t *testing.T) {
 	spec := detSpec()
 	req := detRequest()
@@ -125,7 +125,11 @@ func TestCompiledProblemReuse(t *testing.T) {
 		)
 		avail := func(d resource.Vector) bool { return d.Fits(capacity) }
 		got, gerr := cp.Formulate(avail)
-		want, werr := Formulate(spec, &req, dm, avail, 4, nil)
+		fresh, err := CompileProblem(spec, &req, dm, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, werr := fresh.Formulate(avail)
 		sameFormulation(t, "reuse", got, want, gerr, werr)
 	}
 }

@@ -39,28 +39,57 @@ type AvailFunc func(resource.Vector) bool
 // CompiledProblem is one (spec, request, demand model, gridSteps,
 // penalty) formulation instance with every per-request invariant
 // precomputed: the degradation ladder, the slot-indexed reward/distance
-// and dependency tables (qos.Compiled), and — when the demand model
-// supports the slot-delta fast path — the per-slot demand decomposition.
-// Compile once, formulate many times: providers cache these per CFP
-// demand reference, and the branch-and-bound baseline formulates the
-// same task against many nodes without re-deriving anything.
+// and dependency tables (qos.Compiled), the Section 5 degradation path
+// and — when the demand model supports the slot-delta fast path — the
+// per-slot demand decomposition. It is immutable once compiled, so
+// providers cache one per CFP demand reference, the branch-and-bound
+// baseline formulates the same task against many nodes, and the live
+// and TCP runtimes share it across goroutines without a lock.
 type CompiledProblem struct {
 	Spec   *qos.Spec
 	Req    *qos.Request
 	Ladder *qos.Ladder
 	// C evaluates reward, distance and dependencies on assignments.
 	C *qos.Compiled
+	// Path holds the dependency-consistent stops of the Section 5
+	// degradation path, from the all-preferred level to ladder
+	// exhaustion. The path is availability-independent — which attribute
+	// degrades next depends only on the reward table — so a node's
+	// resources merely pick the stopping point: Formulate returns the
+	// first stop the node accepts, adaptation moves live tasks between
+	// stops, and the baselines' distance bounds and stop menus are
+	// admissible because they range over exactly these stops.
+	Path []Stop
+	// pathErr is what a scan that runs off the end of Path returns: the
+	// demand model's error when one cut the walk short, ladder
+	// exhaustion otherwise.
+	pathErr error
 
 	dm task.DemandModel
 	// table is the slot-indexed demand decomposition, nil when dm does
 	// not support (or declined) compilation; the fallback materializes a
-	// Level per iteration exactly like the pre-compiled implementation.
+	// Level per evaluation exactly like the pre-compiled implementation.
 	table *task.DemandTable
 }
 
+// Stop is one dependency-consistent stop of the degradation path. Stops
+// are shared by every reader of the compiled problem: treat them, the
+// Assignment included, as read-only.
+type Stop struct {
+	Assignment qos.Assignment
+	Demand     resource.Vector
+	// Distance is the Section 6 distance of the stop's level and Utility
+	// its eq. 3 utility.
+	Distance, Utility float64
+	// reward is the eq. 1 local reward; steps counts the degradations
+	// from the preferred level, non-consistent assignments included.
+	reward float64
+	steps  int
+}
+
 // CompileProblem builds the compiled formulation instance. gridSteps
-// and penalty follow the Formulate conventions (<=0 and nil select the
-// defaults).
+// <= 0 selects qos.DefaultGridSteps (see qos.BuildLadder) and a nil
+// penalty qos.DefaultPenalty.
 func CompileProblem(spec *qos.Spec, req *qos.Request, dm task.DemandModel, gridSteps int, penalty qos.PenaltyFunc) (*CompiledProblem, error) {
 	ladder, err := qos.BuildLadder(spec, req, gridSteps)
 	if err != nil {
@@ -77,11 +106,63 @@ func CompileProblem(spec *qos.Spec, req *qos.Request, dm task.DemandModel, gridS
 			cp.table = tbl
 		}
 	}
+	cp.walkPath(ev)
 	return cp, nil
 }
 
-// demand evaluates the current assignment's demand: slot-indexed when
-// compiled, level-by-level otherwise.
+// walkPath runs the Section 5 heuristic, inspired by the local QoS
+// optimization of Abdelzaher et al., once for every availability:
+//
+//  1. start by selecting the user's preferred values for all QoS
+//     dimensions;
+//  2. determine for each degradable attribute the decrease in local
+//     reward of stepping it one level down, and apply the degradation
+//     with minimal decrease;
+//  3. repeat until no attribute can degrade further, recording every
+//     dependency-consistent level on the way as a Stop.
+//
+// Demand is evaluated at every visited level, consistent or not, so a
+// demand-model error surfaces at the same point of the walk where the
+// availability-driven loop would have met it.
+func (cp *CompiledProblem) walkPath(ev *qos.Evaluator) {
+	a := cp.Ladder.NewAssignment()
+	// Every step degrades one attribute by one choice, so the walk
+	// visits exactly 1 + Σ(choices-1) levels: size the stops and one
+	// backing array for their assignments up front.
+	visits := 1
+	for i := range cp.Ladder.Attrs {
+		visits += len(cp.Ladder.Attrs[i].Choices) - 1
+	}
+	cp.Path = make([]Stop, 0, visits)
+	levels := make([]int, 0, visits*len(a))
+	for steps := 0; ; steps++ {
+		demand, err := cp.demand(a)
+		if err != nil {
+			cp.pathErr = err
+			return
+		}
+		if ok, _ := cp.C.DepsSatisfied(a); ok {
+			d := cp.C.Distance(a)
+			levels = append(levels, a...)
+			cp.Path = append(cp.Path, Stop{
+				Assignment: levels[len(levels)-len(a) : len(levels) : len(levels)], Demand: demand,
+				Distance: d, Utility: ev.Utility(d),
+				reward: cp.C.Reward(a), steps: steps,
+			})
+		}
+		i, ok := cp.cheapestDegradation(a)
+		if !ok {
+			cp.pathErr = fmt.Errorf("%w (request %q after %d degradations)", ErrNoFeasibleLevel, cp.Req.Service, steps)
+			return
+		}
+		a[i]++
+	}
+}
+
+// demand evaluates an assignment's demand: slot-indexed when compiled
+// (a few vector adds in canonical key order — bit-identical to the
+// model's level-by-level answer, see task.DemandTable), level-by-level
+// otherwise.
 func (cp *CompiledProblem) demand(a qos.Assignment) (resource.Vector, error) {
 	if cp.table != nil {
 		return cp.table.Demand(a), nil
@@ -89,73 +170,32 @@ func (cp *CompiledProblem) demand(a qos.Assignment) (resource.Vector, error) {
 	return cp.dm.Demand(cp.Spec, cp.Ladder.Level(a))
 }
 
-// DemandAt evaluates the demand of an arbitrary assignment over the
-// compiled problem: slot-indexed when the demand model compiled,
-// level-by-level otherwise. The mid-session adaptation engine prices
-// degrade and upgrade steps with it before touching any reservation.
-func (cp *CompiledProblem) DemandAt(a qos.Assignment) (resource.Vector, error) {
-	return cp.demand(a)
-}
-
-// NextDegradation exposes one step of the Section 5 walk: the attribute
-// whose next degradation loses the least local reward from assignment a,
-// or ok=false when the ladder is exhausted. Callers that apply the step
-// (a[i]++) and iterate retrace exactly the degradation path Formulate
-// walks, which is what lets the adaptation engine's in-place degradations
-// share the path-derived distance ordering of the branch-and-bound
-// bounds.
-func (cp *CompiledProblem) NextDegradation(a qos.Assignment) (i int, ok bool) {
-	return cp.cheapestDegradation(a)
-}
-
 // finish packages the accepted assignment as a Formulation, paying the
 // single Level materialization of the whole formulate call.
-func (cp *CompiledProblem) finish(a qos.Assignment, demand resource.Vector, degradations int) *Formulation {
+func (cp *CompiledProblem) finish(a qos.Assignment, demand resource.Vector, reward float64, degradations int) *Formulation {
 	return &Formulation{
 		Level:        cp.Ladder.Level(a),
 		Assignment:   a,
 		Ladder:       cp.Ladder,
-		Reward:       cp.C.Reward(a),
+		Reward:       reward,
 		Demand:       demand,
 		Degradations: degradations,
 	}
 }
 
-// Formulate runs the Section 5 heuristic, inspired by the local QoS
-// optimization of Abdelzaher et al.:
-//
-//  1. start by selecting the user's preferred values for all QoS
-//     dimensions;
-//  2. while the resulting level is not schedulable, determine for each
-//     degradable attribute the decrease in local reward of stepping it
-//     one level down, and apply the degradation with minimal decrease;
-//  3. stop when the level is schedulable (and dependency-consistent) or
-//     no attribute can degrade further.
-//
-// Each step re-evaluates demand on the compiled slot table (a few
-// vector adds in canonical key order — bit-identical to the model's
-// level-by-level answer, see task.DemandTable) and runs reward and
-// dependency checks on the slot-indexed tables, so the loop performs
-// no map operations and no allocations.
+// Formulate returns the Section 5 heuristic's answer for one node: the
+// first stop of the degradation path whose demand avail accepts — the
+// least-degraded schedulable, dependency-consistent level. The scan
+// touches no maps and allocates nothing (finish pays the one Level
+// materialization), and the returned Assignment is the stop's own:
+// read-only.
 func (cp *CompiledProblem) Formulate(avail AvailFunc) (*Formulation, error) {
-	a := cp.Ladder.NewAssignment()
-	degradations := 0
-	for {
-		demand, derr := cp.demand(a)
-		if derr != nil {
-			return nil, derr
+	for i := range cp.Path {
+		if s := &cp.Path[i]; avail(s.Demand) {
+			return cp.finish(s.Assignment, s.Demand, s.reward, s.steps), nil
 		}
-		depsOK, _ := cp.C.DepsSatisfied(a)
-		if depsOK && avail(demand) {
-			return cp.finish(a, demand, degradations), nil
-		}
-		i, ok := cp.cheapestDegradation(a)
-		if !ok {
-			return nil, fmt.Errorf("%w (request %q after %d degradations)", ErrNoFeasibleLevel, cp.Req.Service, degradations)
-		}
-		a[i]++
-		degradations++
 	}
+	return nil, cp.pathErr
 }
 
 // cheapestDegradation finds the attribute whose next degradation step
@@ -178,40 +218,6 @@ func (cp *CompiledProblem) cheapestDegradation(a qos.Assignment) (int, bool) {
 	return best, best != -1
 }
 
-// WalkDegradationPath visits every assignment on the Section 5
-// degradation path, from the all-preferred start to exhaustion. The
-// path is availability-independent — which attribute degrades next
-// depends only on the reward table — so resources merely pick the
-// stopping point. Formulate always returns some stop of this path,
-// which is what makes path-derived distance bounds admissible for the
-// branch-and-bound baseline. The visited assignment is reused; treat it
-// as read-only and do not retain it.
-func (cp *CompiledProblem) WalkDegradationPath(visit func(a qos.Assignment)) {
-	a := cp.Ladder.NewAssignment()
-	for {
-		visit(a)
-		i, ok := cp.cheapestDegradation(a)
-		if !ok {
-			return
-		}
-		a[i]++
-	}
-}
-
-// Formulate is the one-shot convenience wrapper: compile, then run the
-// heuristic. Hot paths (providers answering CFPs, baselines probing
-// many nodes) should CompileProblem once and reuse it.
-//
-// gridSteps controls the discretization of continuous accepted spans
-// (see qos.BuildLadder); penalty defaults to qos.DefaultPenalty.
-func Formulate(spec *qos.Spec, req *qos.Request, dm task.DemandModel, avail AvailFunc, gridSteps int, penalty qos.PenaltyFunc) (*Formulation, error) {
-	cp, err := CompileProblem(spec, req, dm, gridSteps, penalty)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Formulate(avail)
-}
-
 // FormulateResourceAware is an extension of the Section 5 heuristic that
 // addresses its known myopia: the paper degrades whichever attribute
 // loses the least reward, even when that degradation barely reduces
@@ -231,7 +237,7 @@ func (cp *CompiledProblem) FormulateResourceAware(avail AvailFunc) (*Formulation
 		}
 		depsOK, _ := cp.C.DepsSatisfied(a)
 		if depsOK && avail(demand) {
-			return cp.finish(a, demand, degradations), nil
+			return cp.finish(a, demand, cp.C.Reward(a), degradations), nil
 		}
 		best := -1
 		bestScore := 0.0
@@ -260,16 +266,6 @@ func (cp *CompiledProblem) FormulateResourceAware(avail AvailFunc) (*Formulation
 		a[best]++
 		degradations++
 	}
-}
-
-// FormulateResourceAware is the one-shot wrapper of the resource-aware
-// variant.
-func FormulateResourceAware(spec *qos.Spec, req *qos.Request, dm task.DemandModel, avail AvailFunc, gridSteps int, penalty qos.PenaltyFunc) (*Formulation, error) {
-	cp, err := CompileProblem(spec, req, dm, gridSteps, penalty)
-	if err != nil {
-		return nil, err
-	}
-	return cp.FormulateResourceAware(avail)
 }
 
 // demandRelief measures how much a degradation reduces demand, summed
@@ -329,16 +325,7 @@ func (cp *CompiledProblem) FormulateExhaustive(avail AvailFunc, maxCombinations 
 	if bestA == nil {
 		return nil, ErrNoFeasibleLevel
 	}
-	return cp.finish(bestA, bestDemand, bestDeg), nil
-}
-
-// FormulateExhaustive is the one-shot wrapper of the exhaustive search.
-func FormulateExhaustive(spec *qos.Spec, req *qos.Request, dm task.DemandModel, avail AvailFunc, gridSteps int, penalty qos.PenaltyFunc, maxCombinations int64) (*Formulation, error) {
-	cp, err := CompileProblem(spec, req, dm, gridSteps, penalty)
-	if err != nil {
-		return nil, err
-	}
-	return cp.FormulateExhaustive(avail, maxCombinations)
+	return cp.finish(bestA, bestDemand, bestReward, bestDeg), nil
 }
 
 // nextAssignment advances a through the cross-product in odometer order,

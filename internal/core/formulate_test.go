@@ -16,18 +16,28 @@ func availCap(capacity resource.Vector) AvailFunc {
 	return func(d resource.Vector) bool { return d.Fits(capacity) }
 }
 
+// mustCompile compiles the formulation problem or fails the test.
+func mustCompile(t *testing.T, spec *qos.Spec, req *qos.Request, dm task.DemandModel, gridSteps int) *CompiledProblem {
+	t.Helper()
+	cp, err := CompileProblem(spec, req, dm, gridSteps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
 func streamingInputs() (*qos.Spec, qos.Request, task.DemandModel) {
 	return workload.VideoSpec(), workload.StreamingRequest("t"), workload.VideoDemand(1)
 }
 
 func TestFormulateServesPreferredWhenAbundant(t *testing.T) {
 	spec, req, dm := streamingInputs()
-	f, err := Formulate(spec, &req, dm, availCap(resource.V(
+	f, err := mustCompile(t, spec, &req, dm, 4).Formulate(availCap(resource.V(
 		resource.KV{K: resource.CPU, A: 1e9},
 		resource.KV{K: resource.Memory, A: 1e9},
 		resource.KV{K: resource.NetBW, A: 1e9},
 		resource.KV{K: resource.Energy, A: 1e9},
-	)), 4, nil)
+	)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +69,7 @@ func TestFormulateDegradesUntilSchedulable(t *testing.T) {
 		resource.KV{K: resource.NetBW, A: 1e9},
 		resource.KV{K: resource.Energy, A: 1e9},
 	)
-	f, err := Formulate(spec, &req, dm, availCap(capacity), 4, nil)
+	f, err := mustCompile(t, spec, &req, dm, 4).Formulate(availCap(capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestFormulateDegradesUntilSchedulable(t *testing.T) {
 
 func TestFormulateFailsWhenImpossible(t *testing.T) {
 	spec, req, dm := streamingInputs()
-	_, err := Formulate(spec, &req, dm, availCap(resource.V(resource.KV{K: resource.CPU, A: 1})), 4, nil)
+	_, err := mustCompile(t, spec, &req, dm, 4).Formulate(availCap(resource.V(resource.KV{K: resource.CPU, A: 1})))
 	if !errors.Is(err, ErrNoFeasibleLevel) {
 		t.Fatalf("err = %v, want ErrNoFeasibleLevel", err)
 	}
@@ -95,12 +105,12 @@ func TestFormulateRespectsDependencies(t *testing.T) {
 		B:     qos.AttrKey{Dim: "video", Attr: "color_depth"},
 		Bound: 500,
 	}}
-	f, err := Formulate(spec, &req, dm, availCap(resource.V(
+	f, err := mustCompile(t, spec, &req, dm, 4).Formulate(availCap(resource.V(
 		resource.KV{K: resource.CPU, A: 1e9},
 		resource.KV{K: resource.Memory, A: 1e9},
 		resource.KV{K: resource.NetBW, A: 1e9},
 		resource.KV{K: resource.Energy, A: 1e9},
-	)), 4, nil)
+	)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +135,7 @@ func TestFormulateMatchesPaperGreedyOrder(t *testing.T) {
 		resource.KV{K: resource.NetBW, A: 1e9},
 		resource.KV{K: resource.Energy, A: 1e9},
 	)
-	f, err := Formulate(spec, &req, dm, availCap(capacity), 4, nil)
+	f, err := mustCompile(t, spec, &req, dm, 4).Formulate(availCap(capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +156,7 @@ func TestFormulateMatchesPaperGreedyOrder(t *testing.T) {
 
 func TestFormulateExhaustiveAtLeastHeuristic(t *testing.T) {
 	spec, req, dm := streamingInputs()
+	cp := mustCompile(t, spec, &req, dm, 3)
 	for _, cpu := range []float64{1e9, 500, 380, 300, 250, 220} {
 		capacity := resource.V(
 			resource.KV{K: resource.CPU, A: cpu},
@@ -153,8 +164,8 @@ func TestFormulateExhaustiveAtLeastHeuristic(t *testing.T) {
 			resource.KV{K: resource.NetBW, A: 1e9},
 			resource.KV{K: resource.Energy, A: 1e9},
 		)
-		h, herr := Formulate(spec, &req, dm, availCap(capacity), 3, nil)
-		o, oerr := FormulateExhaustive(spec, &req, dm, availCap(capacity), 3, nil, 1<<21)
+		h, herr := cp.Formulate(availCap(capacity))
+		o, oerr := cp.FormulateExhaustive(availCap(capacity), 1<<21)
 		if (herr == nil) != (oerr == nil) {
 			t.Fatalf("cpu=%v: feasibility disagreement (%v vs %v)", cpu, herr, oerr)
 		}
@@ -172,18 +183,12 @@ func TestFormulateExhaustiveAtLeastHeuristic(t *testing.T) {
 
 func TestFormulateResourceAwareDominatesPaperHeuristic(t *testing.T) {
 	spec, req, dm := streamingInputs()
+	cp := mustCompile(t, spec, &req, dm, 3)
+	pref := cp.Path[0].Demand // the preferred level: no dependencies declared
 	for _, frac := range []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5} {
-		ladder, err := qos.BuildLadder(spec, &req, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pref, err := dm.Demand(spec, ladder.Level(ladder.NewAssignment()))
-		if err != nil {
-			t.Fatal(err)
-		}
 		capacity := pref.Scale(frac)
-		h, herr := Formulate(spec, &req, dm, availCap(capacity), 3, nil)
-		ra, raerr := FormulateResourceAware(spec, &req, dm, availCap(capacity), 3, nil)
+		h, herr := cp.Formulate(availCap(capacity))
+		ra, raerr := cp.FormulateResourceAware(availCap(capacity))
 		if (herr == nil) != (raerr == nil) {
 			t.Fatalf("frac=%v: feasibility disagreement", frac)
 		}
@@ -198,7 +203,7 @@ func TestFormulateResourceAwareDominatesPaperHeuristic(t *testing.T) {
 
 func TestFormulateExhaustiveBoundsSearch(t *testing.T) {
 	spec, req, dm := streamingInputs()
-	if _, err := FormulateExhaustive(spec, &req, dm, availCap(resource.Vector{}), 10, nil, 4); err == nil {
+	if _, err := mustCompile(t, spec, &req, dm, 10).FormulateExhaustive(availCap(resource.Vector{}), 4); err == nil {
 		t.Error("combination bound not enforced")
 	}
 }
@@ -206,7 +211,7 @@ func TestFormulateExhaustiveBoundsSearch(t *testing.T) {
 func TestFormulateInvalidRequest(t *testing.T) {
 	spec, req, dm := streamingInputs()
 	req.Dims[0].Dim = "nope"
-	if _, err := Formulate(spec, &req, dm, availCap(resource.Vector{}), 4, nil); err == nil {
+	if _, err := CompileProblem(spec, &req, dm, 4, nil); err == nil {
 		t.Error("invalid request accepted")
 	}
 }

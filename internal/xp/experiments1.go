@@ -6,7 +6,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/qos"
 	"repro/internal/resource"
 	"repro/internal/workload"
 )
@@ -248,20 +247,20 @@ func E5HeuristicVsOptimal(cfg Config) (*metrics.Table, error) {
 		req := workload.StreamingRequest("e5")
 		dm := workload.VideoDemand(1.0)
 
-		ladder, err := qos.BuildLadder(spec, &req, 3)
+		cp, err := core.CompileProblem(spec, &req, dm, 3, nil)
 		if err != nil {
 			return nil, err
 		}
-		preferred := ladder.Level(ladder.NewAssignment())
+		preferred := cp.Ladder.Level(cp.Ladder.NewAssignment())
 		prefDemand, err := dm.Demand(spec, preferred)
 		if err != nil {
 			return nil, err
 		}
 		capacity := prefDemand.Scale(frac)
 		set := resource.NewSet(capacity)
-		h, herr := core.Formulate(spec, &req, dm, set.CanReserve, 3, nil)
-		ra, raerr := core.FormulateResourceAware(spec, &req, dm, set.CanReserve, 3, nil)
-		o, oerr := core.FormulateExhaustive(spec, &req, dm, set.CanReserve, 3, nil, 1<<20)
+		h, herr := cp.Formulate(set.CanReserve)
+		ra, raerr := cp.FormulateResourceAware(set.CanReserve)
+		o, oerr := cp.FormulateExhaustive(set.CanReserve, 1<<20)
 		switch {
 		case herr != nil && oerr != nil && raerr != nil:
 			return []float64{nan, nan, nan, nan, nan, nan}, nil
