@@ -33,8 +33,12 @@ type Host struct {
 	// lock is uncontended.
 	mu         sync.Mutex
 	organizers map[string]*Organizer
+	sweepAt    int                         // table size at which Organize next drops dissolved organizers
 	orgSink    func(svc string) proto.Sink // persistent lookup for proto.Dispatch
 }
+
+// organizerSweepMin is the smallest table Organize bothers to sweep.
+const organizerSweepMin = 16
 
 // NewHost assembles a node over tr: the reliability envelope when retry
 // is enabled, the provider, an empty organizer table, and the node's
@@ -98,11 +102,27 @@ func (h *Host) Deliver(from radio.NodeID, m proto.Msg) bool {
 // (the simulator schedules it, live and net call it at once). A node
 // organizes a service ID at most once at a time; the duplicate is
 // rejected before the catalog or the transport is touched.
+//
+// A dissolved organizer is done: its ID may be organized again, and the
+// table forgets it without being told. Whenever the table has doubled
+// since the last look, Organize drops every dissolved entry, so a
+// long-lived node's table (and what its garbage collector marks) follows
+// the formations in flight, not the node's history, at O(1) amortised
+// per call. Until swept a dissolved organizer keeps its route and
+// absorbs its coalition's late traffic; Retire forgets one at once.
 func (h *Host) Organize(svc *task.Service, cfg OrganizerConfig, onFormed func(*Result)) (*Organizer, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, dup := h.organizers[svc.ID]; dup {
+	if o, dup := h.organizers[svc.ID]; dup && o.State() != Dissolved {
 		return nil, fmt.Errorf("core: node %d already organizes service %q", h.tr.Self(), svc.ID)
+	}
+	if len(h.organizers) >= max(h.sweepAt, organizerSweepMin) {
+		for id, o := range h.organizers {
+			if o.State() == Dissolved {
+				delete(h.organizers, id)
+			}
+		}
+		h.sweepAt = 2 * len(h.organizers)
 	}
 	if err := h.cat.RegisterService(svc); err != nil {
 		return nil, err
@@ -115,11 +135,12 @@ func (h *Host) Organize(svc *task.Service, cfg OrganizerConfig, onFormed func(*R
 	return o, nil
 }
 
-// Retire forgets a dissolved organizer so a long-lived node does not
-// grow its routing table without bound. Retiring an organizer that is
-// not Dissolved is an error: its timers may still fire and would
-// negotiate against a detached object. Retiring an unknown or already
-// retired service is a no-op.
+// Retire forgets a dissolved organizer at once instead of at Organize's
+// next sweep; the session engine retires each session as it departs, so
+// a simulated node's table is exactly its live sessions. Retiring an
+// organizer that is not Dissolved is an error: its timers may still fire
+// and would negotiate against a detached object. Retiring an unknown or
+// already retired service is a no-op.
 func (h *Host) Retire(svcID string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -101,8 +101,41 @@ type Delivery struct {
 type peer struct {
 	id   radio.NodeID
 	conn gonet.Conn
-	wmu  sync.Mutex // serializes frame writes
+	wmu  sync.Mutex // serializes frame writes; guards sent
+	// sent is the catalog this connection has carried to the peer: a
+	// Submit pushes only what is missing from it. It lives and dies with
+	// the connection, so a peer that restarted (and lost its catalog) is
+	// re-seeded through the fresh connection's empty set.
+	sent map[catalogKey]struct{}
 }
+
+// catalogKey names one catalog entry: a spec by name or a demand model
+// by reference.
+type catalogKey struct {
+	spec bool
+	name string
+}
+
+// dial is one outbound connection attempt in flight; senders that need
+// the same peer meanwhile wait on done and share its outcome.
+type dial struct {
+	done chan struct{}
+	p    *peer
+	err  error
+}
+
+var (
+	errClosed = errors.New("net: endpoint closed")
+	// errAlreadyConnected is admit's refusal of a second socket to one peer.
+	errAlreadyConnected = errors.New("already connected")
+)
+
+// frameBufs recycles encode buffers across sends, sized so that a
+// negotiation frame never grows one.
+var frameBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
 
 // Endpoint is the TCP implementation of proto.Network: a listener, a
 // connection pool with lazy (re)dialing, read loops decoding frames
@@ -115,6 +148,7 @@ type Endpoint struct {
 	mu     sync.Mutex
 	ln     gonet.Listener
 	peers  map[radio.NodeID]*peer
+	dials  map[radio.NodeID]*dial
 	addrs  map[radio.NodeID]string
 	links  map[radio.NodeID]radio.Link
 	caps   map[radio.NodeID]resource.Vector
@@ -122,11 +156,16 @@ type Endpoint struct {
 	wg     sync.WaitGroup
 
 	inbox chan Delivery
+	// onCatalog, when set (by the owning Node, before Start), consumes
+	// catalog pushes on the read loop instead of the inbox: a push is sent
+	// once per connection, so it must not be lost to an inbox overflow.
+	onCatalog func(*proto.CatalogUpdate)
 
-	// Sent counts frames written, Delivered frames decoded and queued,
-	// SendErrors sends that surfaced a socket failure, Overflows
-	// inbound messages dropped on a full inbox. All register into the
-	// configured obs registry under the canonical net.* names.
+	// Sent counts frames written, Delivered frames decoded and queued
+	// (catalog pushes: applied), SendErrors sends that surfaced a socket
+	// failure, Overflows inbound messages dropped on a full inbox. All
+	// register into the configured obs registry under the canonical net.*
+	// names.
 	Sent, Delivered, SendErrors, Overflows obs.Counter
 }
 
@@ -138,6 +177,7 @@ func NewEndpoint(cfg Config) *Endpoint {
 		codec: proto.Codec{MaxFrame: cfg.MaxFrame},
 		start: time.Now(),
 		peers: make(map[radio.NodeID]*peer),
+		dials: make(map[radio.NodeID]*dial),
 		addrs: make(map[radio.NodeID]string),
 		links: make(map[radio.NodeID]radio.Link),
 		caps:  make(map[radio.NodeID]resource.Vector),
@@ -197,7 +237,7 @@ func (e *Endpoint) Listen() error {
 	if e.closed {
 		e.mu.Unlock()
 		ln.Close()
-		return errors.New("net: endpoint closed")
+		return errClosed
 	}
 	e.ln = ln
 	e.mu.Unlock()
@@ -225,7 +265,7 @@ func (e *Endpoint) Dial(to radio.NodeID, addr string) error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return errors.New("net: endpoint closed")
+		return errClosed
 	}
 	e.addrs[to] = addr
 	e.mu.Unlock()
@@ -234,18 +274,50 @@ func (e *Endpoint) Dial(to radio.NodeID, addr string) error {
 }
 
 // connect returns the live connection to a peer, dialing and
-// handshaking if necessary.
+// handshaking if necessary. Concurrent callers share one dial: a second
+// socket to the same peer would be refused by the far side.
 func (e *Endpoint) connect(to radio.NodeID) (*peer, error) {
-	e.mu.Lock()
-	if p, ok := e.peers[to]; ok {
+	for waited := false; ; waited = true {
+		e.mu.Lock()
+		if e.closed {
+			// A retransmission timer outliving Close must not open sockets.
+			e.mu.Unlock()
+			return nil, errClosed
+		}
+		if p, ok := e.peers[to]; ok {
+			e.mu.Unlock()
+			return p, nil
+		}
+		d, inFlight := e.dials[to]
+		if !inFlight {
+			addr, ok := e.addrs[to]
+			if !ok {
+				e.mu.Unlock()
+				return nil, fmt.Errorf("net: no address for node %d", to)
+			}
+			d = &dial{done: make(chan struct{})}
+			e.dials[to] = d
+			e.mu.Unlock()
+			d.p, d.err = e.dial(to, addr)
+			e.mu.Lock()
+			delete(e.dials, to)
+			e.mu.Unlock()
+			close(d.done)
+			return d.p, d.err
+		}
 		e.mu.Unlock()
-		return p, nil
+		<-d.done
+		// A shared success is a live connection. A shared failure began
+		// before this call and may be stale — the peer may have come up
+		// since — so it is believed only at the second time of asking.
+		if d.err == nil || waited {
+			return d.p, d.err
+		}
 	}
-	addr, ok := e.addrs[to]
-	e.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("net: no address for node %d", to)
-	}
+}
+
+// dial opens and handshakes one outbound connection.
+func (e *Endpoint) dial(to radio.NodeID, addr string) (*peer, error) {
 	conn, err := gonet.DialTimeout("tcp", addr, e.cfg.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("net: dial node %d: %w", to, err)
@@ -277,6 +349,11 @@ func (e *Endpoint) connect(to radio.NodeID) (*peer, error) {
 	p, err := e.admit(h, conn)
 	if err != nil {
 		conn.Close()
+		if errors.Is(err, errAlreadyConnected) {
+			// The peer's own dial was admitted while ours was under way:
+			// that connection serves, ours is surplus.
+			return p, nil
+		}
 		return nil, err
 	}
 	return p, nil
@@ -293,18 +370,19 @@ func (e *Endpoint) hello() *proto.Hello {
 }
 
 // admit records a handshaken connection and starts its read loop. An
-// existing connection to the same peer wins: the newcomer is refused so
-// both sides keep exactly one socket per pair.
+// existing connection to the same peer wins: the newcomer is refused
+// with errAlreadyConnected and the winner returned, so both sides keep
+// exactly one socket per pair.
 func (e *Endpoint) admit(h *proto.Hello, conn gonet.Conn) (*peer, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return nil, errors.New("net: endpoint closed")
+		return nil, errClosed
 	}
-	if _, dup := e.peers[h.Node]; dup {
-		return nil, fmt.Errorf("net: node %d already connected", h.Node)
+	if cur, dup := e.peers[h.Node]; dup {
+		return cur, fmt.Errorf("net: node %d %w", h.Node, errAlreadyConnected)
 	}
-	p := &peer{id: h.Node, conn: conn}
+	p := &peer{id: h.Node, conn: conn, sent: make(map[catalogKey]struct{})}
 	e.peers[h.Node] = p
 	e.links[h.Node] = radio.Link{Pos: radio.Pos{X: h.X, Y: h.Y}, RangeM: h.RangeM, Bitrate: h.Bitrate}
 	e.caps[h.Node] = h.Capacity
@@ -349,11 +427,14 @@ func (e *Endpoint) acceptLoop(ln gonet.Listener) {
 	}
 }
 
-// readLoop decodes frames from one peer until the connection ends.
+// readLoop decodes frames from one peer until the connection ends. The
+// connection's Decoder reuses one frame buffer; what it hands out never
+// aliases that buffer, so the inbox's consumers may keep any message.
 func (e *Endpoint) readLoop(p *peer) {
 	defer e.wg.Done()
+	dec := e.codec.NewDecoder()
 	for {
-		m, err := e.codec.ReadMsg(p.conn)
+		m, err := dec.ReadMsg(p.conn)
 		if err != nil {
 			e.dropPeer(p, "read: "+err.Error())
 			return
@@ -368,15 +449,28 @@ func (e *Endpoint) readLoop(p *peer) {
 		case *proto.Bye:
 			e.dropPeer(p, "bye: "+v.Reason)
 			return
-		default:
-			select {
-			case e.inbox <- Delivery{From: p.id, Msg: m}:
+		case *proto.CatalogUpdate:
+			if e.onCatalog != nil {
+				e.onCatalog(v)
 				e.Delivered.Add(1)
-			default:
-				e.Overflows.Add(1)
-				e.emit("inbox-overflow", fmt.Sprintf("dropped %s from node %d (inbox full)", m.Kind(), p.id))
+			} else {
+				e.enqueue(p.id, m)
 			}
+		default:
+			e.enqueue(p.id, m)
 		}
+	}
+}
+
+// enqueue hands one message to the inbox, or drops and counts it when
+// the inbox is full.
+func (e *Endpoint) enqueue(from radio.NodeID, m proto.Msg) {
+	select {
+	case e.inbox <- Delivery{From: from, Msg: m}:
+		e.Delivered.Add(1)
+	default:
+		e.Overflows.Add(1)
+		e.emit("inbox-overflow", fmt.Sprintf("dropped %s from node %d (inbox full)", m.Kind(), from))
 	}
 }
 
@@ -397,12 +491,30 @@ func (e *Endpoint) dropPeer(p *peer, why string) {
 
 // writeFrame encodes and writes one frame under the write deadline.
 func (e *Endpoint) writeFrame(conn gonet.Conn, m proto.Msg) error {
-	frame, err := e.codec.Encode(m)
+	frame, err := e.encode(m)
 	if err != nil {
 		return err
 	}
+	defer frameBufs.Put(frame)
+	return e.writeBytes(conn, *frame)
+}
+
+// encode frames m into a pooled buffer, which the caller returns to
+// frameBufs once the frame is written.
+func (e *Endpoint) encode(m proto.Msg) (*[]byte, error) {
+	buf := frameBufs.Get().(*[]byte)
+	frame, err := e.codec.AppendFrame((*buf)[:0], m)
+	if err != nil {
+		frameBufs.Put(buf)
+		return nil, err
+	}
+	*buf = frame
+	return buf, nil
+}
+
+func (e *Endpoint) writeBytes(conn gonet.Conn, frame []byte) error {
 	conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-	_, err = conn.Write(frame)
+	_, err := conn.Write(frame)
 	return err
 }
 
@@ -416,83 +528,119 @@ func (e *Endpoint) Send(to radio.NodeID, m proto.Msg) error {
 	closed := e.closed
 	e.mu.Unlock()
 	if closed {
-		return errors.New("net: endpoint closed")
+		return errClosed
 	}
 	if to == e.cfg.Self {
 		e.Sent.Add(1)
-		select {
-		case e.inbox <- Delivery{From: to, Msg: m}:
-			e.Delivered.Add(1)
-		default:
-			e.Overflows.Add(1)
-			e.emit("inbox-overflow", fmt.Sprintf("dropped local %s (inbox full)", m.Kind()))
-		}
+		e.enqueue(to, m)
 		return nil
 	}
 	p, err := e.connect(to)
 	if err != nil {
-		e.sendFailed(to, m, err)
+		e.sendFailed(to, m.Kind(), err)
 		return err
 	}
 	p.wmu.Lock()
-	err = e.writeFrame(p.conn, m)
-	p.wmu.Unlock()
+	defer p.wmu.Unlock()
+	return e.sendLocked(p, m)
+}
+
+// sendLocked encodes m and writes it to a peer whose wmu the caller
+// holds.
+func (e *Endpoint) sendLocked(p *peer, m proto.Msg) error {
+	frame, err := e.encode(m)
 	if err != nil {
+		e.sendFailed(p.id, m.Kind(), err)
+		return err
+	}
+	defer frameBufs.Put(frame)
+	return e.writeTo(p, m.Kind(), *frame)
+}
+
+// writeTo writes one encoded frame to a peer whose wmu the caller holds.
+// A failure is returned, counted and traced, and drops the connection.
+func (e *Endpoint) writeTo(p *peer, kind string, frame []byte) error {
+	if err := e.writeBytes(p.conn, frame); err != nil {
 		e.dropPeer(p, "write: "+err.Error())
-		e.sendFailed(to, m, err)
+		e.sendFailed(p.id, kind, err)
 		return err
 	}
 	e.Sent.Add(1)
 	return nil
 }
 
-func (e *Endpoint) sendFailed(to radio.NodeID, m proto.Msg, err error) {
+func (e *Endpoint) sendFailed(to radio.NodeID, kind string, err error) {
 	e.SendErrors.Add(1)
-	e.emit("send-error", fmt.Sprintf("%s to node %d: %v", m.Kind(), to, err))
+	e.emit("send-error", fmt.Sprintf("%s to node %d: %v", kind, to, err))
 }
 
-// Broadcast implements proto.Transport: the frame goes to every known
-// peer (registered address or live connection, never self) whose link
-// is in radio range, mirroring the medium's single-hop semantics. Send
-// failures are aggregated; partial delivery is normal on a fabric with
-// a dead daemon and the negotiation tolerates it.
+// Broadcast implements proto.Transport: the frame, encoded once, goes
+// to every known peer (registered address or live connection, never
+// self) whose link is in radio range, mirroring the medium's single-hop
+// semantics. Send failures are aggregated; partial delivery is normal on
+// a fabric with a dead daemon and the negotiation tolerates it.
 func (e *Endpoint) Broadcast(m proto.Msg) error {
+	frame, err := e.encode(m)
+	if err != nil {
+		e.sendFailed(e.cfg.Self, m.Kind(), err)
+		return err
+	}
+	defer frameBufs.Put(frame)
+	var arr [maxStackFanout]*peer
+	ps, errs := e.neighbours(m.Kind(), arr[:0])
+	for _, p := range ps {
+		p.wmu.Lock()
+		err := e.writeTo(p, m.Kind(), *frame)
+		p.wmu.Unlock()
+		if err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// maxStackFanout is the neighbourhood size up to which a broadcast's
+// scratch lists stay on the stack.
+const maxStackFanout = 16
+
+// neighbours appends to ps the connection of every known peer in radio
+// range, in ID order, connecting where needed. A failed dial is counted
+// and traced as a failed send of a kind message, and returned.
+func (e *Endpoint) neighbours(kind string, ps []*peer) ([]*peer, []error) {
+	var arr [maxStackFanout]radio.NodeID
+	order := arr[:0]
 	e.mu.Lock()
-	ids := make(map[radio.NodeID]bool, len(e.addrs)+len(e.peers))
 	for id := range e.addrs {
-		ids[id] = true
+		order = append(order, id)
 	}
 	for id := range e.peers {
-		ids[id] = true
-	}
-	e.mu.Unlock()
-	order := make([]radio.NodeID, 0, len(ids))
-	for id := range ids {
-		if id != e.cfg.Self {
+		if _, ok := e.addrs[id]; !ok {
 			order = append(order, id)
 		}
 	}
+	e.mu.Unlock()
 	sortNodeIDs(order)
 	var errs []error
 	for _, id := range order {
+		if id == e.cfg.Self {
+			continue
+		}
 		// Connect first so the directory has the peer's link, then apply
 		// the range filter; an unreachable peer is a send error.
-		if _, err := e.connect(id); err != nil {
-			e.sendFailed(id, m, err)
+		p, err := e.connect(id)
+		if err != nil {
+			e.sendFailed(id, kind, err)
 			errs = append(errs, err)
 			continue
 		}
 		e.mu.Lock()
 		l, ok := e.links[id]
 		e.mu.Unlock()
-		if !ok || !radio.LinkInRange(e.cfg.Link, l) {
-			continue // out of radio range: silent, like the medium
-		}
-		if err := e.Send(id, m); err != nil {
-			errs = append(errs, err)
+		if ok && radio.LinkInRange(e.cfg.Link, l) { // else silent, like the medium
+			ps = append(ps, p)
 		}
 	}
-	return errors.Join(errs...)
+	return ps, errs
 }
 
 func sortNodeIDs(ids []radio.NodeID) {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/qos"
-	"repro/internal/radio"
 	"repro/internal/resource"
 	"repro/internal/task"
 )
@@ -34,6 +33,12 @@ type Node struct {
 	*core.Host
 	Endpoint *Endpoint
 
+	// specsSeen holds the spec documents already applied, byte for byte,
+	// so a repeated push (another organizer's, or one after a reconnect)
+	// is recognised without parsing it.
+	specMu    sync.Mutex
+	specsSeen map[string]struct{}
+
 	quit     chan struct{}
 	done     chan struct{}
 	started  atomic.Bool
@@ -43,12 +48,15 @@ type Node struct {
 // NewNode builds a node; Start brings it onto the fabric.
 func NewNode(cfg NodeConfig) *Node {
 	ep := NewEndpoint(cfg.Endpoint)
-	return &Node{
-		Host:     core.NewHost(ep, ep.Timers(), core.NewCatalog(), ep.Obs(), resource.NewSet(ep.cfg.Capacity), cfg.Provider, cfg.Retry),
-		Endpoint: ep,
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+	n := &Node{
+		Host:      core.NewHost(ep, ep.Timers(), core.NewCatalog(), ep.Obs(), resource.NewSet(ep.cfg.Capacity), cfg.Provider, cfg.Retry),
+		Endpoint:  ep,
+		specsSeen: make(map[string]struct{}),
+		quit:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
+	ep.onCatalog = n.applyCatalog
+	return n
 }
 
 // Start begins listening (when a listen address is configured) and
@@ -75,9 +83,9 @@ func (n *Node) Close() error {
 	return err
 }
 
-// loop drains the endpoint inbox; it is the single goroutine that
-// touches the dedup window and the protocol state machines, matching
-// the live runtime's one-loop-per-node discipline.
+// loop drains the endpoint inbox into the host; it is the single
+// goroutine that touches the dedup window and the protocol state
+// machines, matching the live runtime's one-loop-per-node discipline.
 func (n *Node) loop() {
 	defer close(n.done)
 	for {
@@ -85,41 +93,37 @@ func (n *Node) loop() {
 		case <-n.quit:
 			return
 		case d := <-n.Endpoint.Inbox():
-			n.handle(d.From, d.Msg)
+			n.Deliver(d.From, d.Msg)
 		}
 	}
 }
 
-// handle is the node's receive path: fabric control messages are
-// applied here, everything else goes to the host. A catalog push skips
-// the dedup window: applying one twice is a no-op.
-func (n *Node) handle(from radio.NodeID, m proto.Msg) {
-	inner, _ := proto.Unwrap(m)
-	if cu, ok := inner.(*proto.CatalogUpdate); ok {
-		n.applyCatalog(cu)
-		return
-	}
-	n.Deliver(from, m)
-}
-
 // applyCatalog installs pushed specs and demand models, idempotently:
 // entries already present are kept (first registration wins, matching
-// core.Catalog.RegisterService).
+// core.Catalog.RegisterService). It runs on the connections' read loops,
+// ahead of the inbox, so the CFP that follows a push on its connection
+// finds the entries in place.
 func (n *Node) applyCatalog(cu *proto.CatalogUpdate) {
 	cat := n.Catalog()
+	n.specMu.Lock()
 	for _, raw := range cu.Specs {
+		if _, seen := n.specsSeen[string(raw)]; seen {
+			continue
+		}
 		s, err := qos.DecodeSpec(raw)
 		if err != nil {
 			n.Endpoint.emit("catalog-error", fmt.Sprintf("bad spec: %v", err))
 			continue
 		}
-		if _, ok := cat.Spec(s.Name); ok {
-			continue
+		if _, ok := cat.Spec(s.Name); !ok {
+			if err := cat.AddSpec(s); err != nil {
+				n.Endpoint.emit("catalog-error", err.Error())
+				continue
+			}
 		}
-		if err := cat.AddSpec(s); err != nil {
-			n.Endpoint.emit("catalog-error", err.Error())
-		}
+		n.specsSeen[string(raw)] = struct{}{}
 	}
+	n.specMu.Unlock()
 	for i := range cu.Demands {
 		d := &cu.Demands[i]
 		if _, ok := cat.Demand(d.Ref); ok {
@@ -146,21 +150,37 @@ func CatalogUpdateFor(svc *task.Service) (*proto.CatalogUpdate, error) {
 	if err := svc.Validate(); err != nil {
 		return nil, err
 	}
-	raw, err := qos.EncodeSpec(svc.Spec)
-	if err != nil {
-		return nil, err
+	return catalogUpdate(svc, nil)
+}
+
+// catalogUpdate builds the push of a valid service's catalog entries
+// that sent does not hold (nil: all of them); nil when none is missing.
+func catalogUpdate(svc *task.Service, sent map[catalogKey]struct{}) (*proto.CatalogUpdate, error) {
+	var cu *proto.CatalogUpdate
+	if _, ok := sent[catalogKey{spec: true, name: svc.Spec.Name}]; !ok {
+		raw, err := qos.EncodeSpec(svc.Spec)
+		if err != nil {
+			return nil, err
+		}
+		cu = &proto.CatalogUpdate{Specs: [][]byte{raw}}
 	}
-	cu := &proto.CatalogUpdate{Specs: [][]byte{raw}}
-	seen := make(map[string]bool, len(svc.Tasks))
+tasks:
 	for _, t := range svc.Tasks {
 		ref := t.Ref(svc.ID)
-		if seen[ref] {
+		if _, ok := sent[catalogKey{name: ref}]; ok {
 			continue
 		}
-		seen[ref] = true
-		ld, ok := t.Demand.(*task.LinearDemand)
-		if !ok {
-			return nil, fmt.Errorf("net: demand %q is %T; only LinearDemand is wire-serializable", ref, t.Demand)
+		if cu == nil {
+			cu = &proto.CatalogUpdate{}
+		}
+		for i := range cu.Demands {
+			if cu.Demands[i].Ref == ref {
+				continue tasks
+			}
+		}
+		ld, err := linearDemand(svc.ID, t)
+		if err != nil {
+			return nil, err
 		}
 		entry := proto.DemandEntry{Ref: ref, Base: ld.Base}
 		keys := make([]qos.AttrKey, 0, len(ld.Coef))
@@ -181,24 +201,56 @@ func CatalogUpdateFor(svc *task.Service) (*proto.CatalogUpdate, error) {
 	return cu, nil
 }
 
+// linearDemand returns a task's demand model as the one kind that has a
+// wire form.
+func linearDemand(svcID string, t *task.Task) (*task.LinearDemand, error) {
+	ld, ok := t.Demand.(*task.LinearDemand)
+	if !ok {
+		return nil, fmt.Errorf("net: demand %q is %T; only LinearDemand is wire-serializable", t.Ref(svcID), t.Demand)
+	}
+	return ld, nil
+}
+
 // Submit starts a negotiation from this node: the service's catalog
-// entries are pushed to every reachable peer (frames are ordered per
-// connection, so the push lands before the CFP), then the organizer
-// broadcasts its call for proposals to in-process and remote providers
-// alike. onFormed fires on each completed (re)formation attempt, from a
-// timer goroutine.
+// entries are pushed to every reachable peer whose connection has not
+// carried them yet (frames are ordered per connection, so the push lands
+// before the CFP), then the organizer broadcasts its call for proposals
+// to in-process and remote providers alike. onFormed fires on each
+// completed (re)formation attempt, from a timer goroutine.
 func (n *Node) Submit(svc *task.Service, cfg core.OrganizerConfig, onFormed func(*core.Result)) (*core.Organizer, error) {
-	cu, err := CatalogUpdateFor(svc)
-	if err != nil {
-		return nil, err
+	for _, t := range svc.Tasks {
+		if _, err := linearDemand(svc.ID, t); err != nil {
+			return nil, err
+		}
 	}
 	o, err := n.Organize(svc, cfg, onFormed)
 	if err != nil {
 		return nil, err
 	}
-	// Push errors are advisory: a dead daemon simply won't propose, and
-	// the endpoint already counted and traced the failure.
-	_ = n.Endpoint.Broadcast(cu)
+	n.pushCatalog(svc)
 	o.Start()
 	return o, nil
+}
+
+// pushCatalog sends each neighbour what its connection has not yet
+// carried of the service's catalog entries — in steady state nothing,
+// at the price of a few set lookups. Failures are advisory: a dead
+// daemon simply won't propose, and the endpoint already counted and
+// traced them.
+func (n *Node) pushCatalog(svc *task.Service) {
+	e := n.Endpoint
+	var arr [maxStackFanout]*peer
+	ps, _ := e.neighbours((&proto.CatalogUpdate{}).Kind(), arr[:0])
+	for _, p := range ps {
+		p.wmu.Lock()
+		if cu, err := catalogUpdate(svc, p.sent); err == nil && cu != nil && e.sendLocked(p, cu) == nil {
+			if len(cu.Specs) > 0 {
+				p.sent[catalogKey{spec: true, name: svc.Spec.Name}] = struct{}{}
+			}
+			for i := range cu.Demands {
+				p.sent[catalogKey{name: cu.Demands[i].Ref}] = struct{}{}
+			}
+		}
+		p.wmu.Unlock()
+	}
 }

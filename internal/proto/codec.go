@@ -1,12 +1,15 @@
 package proto
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/qos"
 	"repro/internal/radio"
@@ -152,25 +155,41 @@ func (c Codec) AppendFrame(dst []byte, m Msg) ([]byte, error) {
 
 // Decode parses one complete frame. The input must be exactly one
 // frame; trailing bytes are an error (stream framing belongs to ReadMsg).
-func (c Codec) Decode(frame []byte) (Msg, error) {
+// It keeps no state between frames: it is the reference the
+// per-connection Decoder is differentially tested against.
+func (c Codec) Decode(frame []byte) (Msg, error) { return c.decode(frame, nil) }
+
+// payloadLen validates a frame header — magic, version, declared length
+// against MaxFrame — and returns the payload length.
+func (c Codec) payloadLen(hdr []byte) (int, error) {
+	if hdr[0] != codecMagic {
+		return 0, fmt.Errorf("proto: bad magic 0x%02x", hdr[0])
+	}
+	if hdr[1] != CodecVersion {
+		return 0, fmt.Errorf("proto: unsupported codec version %d (want %d)", hdr[1], CodecVersion)
+	}
+	n := binary.BigEndian.Uint32(hdr[3:frameHeader])
+	if int64(n) > int64(c.maxFrame()) {
+		return 0, fmt.Errorf("proto: declared payload %d: %w", n, ErrFrameTooLarge)
+	}
+	return int(n), nil
+}
+
+// decode is Decode, reading strings and requests through dec's
+// connection state when dec is non-nil.
+func (c Codec) decode(frame []byte, dec *Decoder) (Msg, error) {
 	if len(frame) < frameHeader {
 		return nil, fmt.Errorf("proto: frame too short (%d bytes)", len(frame))
 	}
-	if frame[0] != codecMagic {
-		return nil, fmt.Errorf("proto: bad magic 0x%02x", frame[0])
+	n, err := c.payloadLen(frame)
+	if err != nil {
+		return nil, err
 	}
-	if frame[1] != CodecVersion {
-		return nil, fmt.Errorf("proto: unsupported codec version %d (want %d)", frame[1], CodecVersion)
-	}
-	n := binary.BigEndian.Uint32(frame[3:7])
-	if int64(n) > int64(c.maxFrame()) {
-		return nil, fmt.Errorf("proto: declared payload %d: %w", n, ErrFrameTooLarge)
-	}
-	if len(frame)-frameHeader != int(n) {
+	if len(frame)-frameHeader != n {
 		return nil, fmt.Errorf("proto: payload length mismatch: declared %d, have %d", n, len(frame)-frameHeader)
 	}
-	r := &wireReader{b: frame[frameHeader:]}
-	m := decodeMsg(r, frame[2], false)
+	r := wireReader{b: frame[frameHeader:], dec: dec}
+	m := decodeMsg(&r, frame[2], false)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -195,32 +214,47 @@ func (c Codec) WriteMsg(w io.Writer, m Msg) error {
 // returns io.ErrUnexpectedEOF. Oversized declared lengths are rejected
 // before any payload allocation.
 func (c Codec) ReadMsg(rd io.Reader) (Msg, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
+	frame, err := c.readFrame(rd, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.Decode(frame)
+}
+
+// frameBufSize is the initial capacity of a frame read buffer: every
+// negotiation frame of the stock workloads fits, so a connection's
+// reused buffer is allocated once.
+const frameBufSize = 512
+
+// readFrame reads one frame into buf, reallocating only when buf's
+// capacity does not hold it, and returns the frame.
+func (c Codec) readFrame(rd io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < frameHeader {
+		buf = make([]byte, frameHeader, frameBufSize)
+	}
+	hdr := buf[:frameHeader]
+	if _, err := io.ReadFull(rd, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("proto: reading frame header: %w", err)
 	}
-	if hdr[0] != codecMagic {
-		return nil, fmt.Errorf("proto: bad magic 0x%02x", hdr[0])
+	n, err := c.payloadLen(hdr)
+	if err != nil {
+		return nil, err
 	}
-	if hdr[1] != CodecVersion {
-		return nil, fmt.Errorf("proto: unsupported codec version %d (want %d)", hdr[1], CodecVersion)
+	if cap(buf) < frameHeader+n {
+		buf = make([]byte, frameHeader+n)
+		copy(buf, hdr)
 	}
-	n := binary.BigEndian.Uint32(hdr[3:7])
-	if int64(n) > int64(c.maxFrame()) {
-		return nil, fmt.Errorf("proto: declared payload %d: %w", n, ErrFrameTooLarge)
-	}
-	frame := make([]byte, frameHeader+int(n))
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(rd, frame[frameHeader:]); err != nil {
+	buf = buf[:frameHeader+n]
+	if _, err := io.ReadFull(rd, buf[frameHeader:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("proto: reading frame payload: %w", err)
 	}
-	return c.Decode(frame)
+	return buf, nil
 }
 
 // --- payload encoding -------------------------------------------------
@@ -271,15 +305,15 @@ func appendValue(b []byte, v qos.Value) ([]byte, error) {
 }
 
 func appendLevel(b []byte, l qos.Level) ([]byte, error) {
-	keys := make([]qos.AttrKey, 0, len(l))
+	// A level names a handful of attributes: collected and sorted on the
+	// stack, a proposal's encoding allocates nothing here.
+	var arr [8]qos.AttrKey
+	keys := arr[:0]
 	for k := range l {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Dim != keys[j].Dim {
-			return keys[i].Dim < keys[j].Dim
-		}
-		return keys[i].Attr < keys[j].Attr
+	slices.SortFunc(keys, func(a, b qos.AttrKey) int {
+		return cmp.Or(strings.Compare(a.Dim, b.Dim), strings.Compare(a.Attr, b.Attr))
 	})
 	b = appendUvarint(b, uint64(len(keys)))
 	var err error
@@ -440,6 +474,7 @@ type wireReader struct {
 	b   []byte
 	off int
 	err error
+	dec *Decoder // connection state; nil decodes statelessly
 }
 
 func (r *wireReader) fail(format string, args ...any) {
@@ -523,9 +558,12 @@ func (r *wireReader) str() string {
 		r.fail("proto: string length %d exceeds remaining %d", n, r.remaining())
 		return ""
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s
+	if r.dec != nil {
+		return r.dec.intern(b)
+	}
+	return string(b)
 }
 
 func (r *wireReader) bytes() []byte {
@@ -601,7 +639,29 @@ func (r *wireReader) level() qos.Level {
 	return l
 }
 
+// request decodes one task's QoS request. Through a Decoder, a request
+// whose wire bytes repeat the previous one's — the tasks of a CFP, the
+// CFPs of a template's sessions — is that request again, not a rebuilt
+// copy: the encoding is self-delimiting, so equal bytes at the cursor
+// parse to an equal value of the same extent.
 func (r *wireReader) request() qos.Request {
+	d := r.dec
+	if d == nil {
+		return r.parseRequest()
+	}
+	if n := len(d.reqWire); n > 0 && r.err == nil && bytes.HasPrefix(r.b[r.off:], d.reqWire) {
+		r.off += n
+		return d.req
+	}
+	start := r.off
+	q := r.parseRequest()
+	if wire := r.b[start:r.off]; r.err == nil && len(wire) <= sharedRequestMax {
+		d.reqWire, d.req = append(d.reqWire[:0], wire...), q
+	}
+	return q
+}
+
+func (r *wireReader) parseRequest() qos.Request {
 	q := qos.Request{Service: r.str()}
 	nd := r.count(2)
 	if nd > 0 {

@@ -23,7 +23,8 @@
 # runner's weak-scaling benchmark and the nil-sink flight-recorder
 # overhead benchmark; since PR 8 every snapshot can also land in the
 # append-only results store (RESULTS.jsonl) that cmd/qostrend renders.
-# BENCH_PR10.json adds the E29 admission-policy sweep.
+# BENCH_PR10.json adds the E29 admission-policy sweep. Since PR 15 the
+# snapshot also carries the wire path (internal/proto, internal/net).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,6 +50,12 @@ run_bench . 'BenchmarkFormulate$|BenchmarkFormulateOneShot$|BenchmarkFormulateEx
 run_bench ./internal/qos 'BenchmarkDistance$|BenchmarkDistanceCompiled$|BenchmarkReward$|BenchmarkRewardCompiled$|BenchmarkBuildLadder$'
 run_bench ./internal/baseline 'BenchmarkOptimal$|BenchmarkOptimalExhaustive$|BenchmarkOptimalLarge$'
 run_bench ./internal/trace 'BenchmarkRecorderNil$|BenchmarkRecorderBufferPoint$'
+# The wire path (since PR 15): a recorded formation's frames through the
+# per-connection decoder next to the stateless codec, and one whole
+# formation over loopback TCP (its ns/op is mostly the mandated windows;
+# allocs/op is the figure that moves).
+run_bench ./internal/proto 'BenchmarkStreamDecode$'
+run_bench ./internal/net 'BenchmarkLoopbackFormation$'
 
 awk -v commit="$(git describe --always --dirty 2>/dev/null || echo unknown)" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
