@@ -41,8 +41,10 @@ type Host struct {
 const organizerSweepMin = 16
 
 // NewHost assembles a node over tr: the reliability envelope when retry
-// is enabled, the provider, an empty organizer table, and the node's
-// hardening counters registered into reg under their canonical names.
+// is enabled — retransmitting blindly, or only on evidence of loss when
+// tr is a proto.Connected transport — the provider, an empty organizer
+// table, and the node's hardening counters registered into reg under
+// their canonical names.
 func NewHost(tr proto.Transport, tm proto.Timers, cat *Catalog, reg *obs.Registry, res *resource.Set, pcfg ProviderConfig, retry proto.RetryConfig) *Host {
 	h := &Host{Res: res, cat: cat, tr: tr, tm: tm, organizers: make(map[string]*Organizer)}
 	h.orgSink = func(svc string) proto.Sink {
@@ -81,6 +83,16 @@ func (h *Host) Retransmissions() uint64 {
 		return 0
 	}
 	return h.reliable.Retransmissions()
+}
+
+// ReplayHeld reports how many sent frames this node's reliability layer
+// keeps for replay: 0 with retries disabled or on a best-effort
+// transport, never more than proto.DedupWindow.
+func (h *Host) ReplayHeld() int {
+	if h.reliable == nil {
+		return 0
+	}
+	return h.reliable.Held()
 }
 
 // Duplicates reports the sequenced deliveries this node suppressed. On

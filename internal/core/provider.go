@@ -72,12 +72,11 @@ type compiledEntry struct {
 
 	// Formulate memo. The Section 5 heuristic is a pure function of the
 	// node's availability vector: the degradation path depends only on
-	// the reward table, and availability merely picks the stopping point
-	// (CanReserve reads nothing but Available()). Formulations are
-	// immutable once built, so when availability has not changed since
-	// the last formulation of this problem the previous result is
-	// returned as-is. Only the single-threaded sim transport uses the
-	// memo; goroutine-backed deployments recompute.
+	// the reward table, and availability merely picks the stopping point.
+	// Formulations are immutable once built, so when availability has not
+	// changed since the last formulation of this problem the previous
+	// result is returned as-is. The entry is formulated only from the
+	// goroutine that delivers to the provider.
 	lastAvail resource.Vector
 	lastF     *Formulation
 	lastErr   error
@@ -243,19 +242,19 @@ func (p *Provider) onCFP(from radio.NodeID, m *proto.CFP) {
 	p.tr.Send(from, reply)
 }
 
-// formulate runs the compiled problem against current availability,
-// reusing the entry's memoized Formulation when availability is unchanged
-// (see compiledEntry). The memo only engages on the single-threaded sim
-// transport, where the availability snapshot cannot race a reservation.
+// formulate runs the compiled problem against one snapshot of the node's
+// availability, reusing the entry's memoized Formulation when the
+// snapshot equals the last one (see compiledEntry). The predicate is
+// Set.CanReserve's (Vector.Grants), evaluated on the snapshot instead of
+// the live ledger: a timer goroutine releasing a hold mid-scan cannot
+// make the answer anything but a function of the vector the memo is
+// keyed by.
 func (p *Provider) formulate(e *compiledEntry) (*Formulation, error) {
-	if !p.cfg.simTransport {
-		return e.cp.Formulate(p.Res.CanReserve)
-	}
 	avail := p.Res.Available()
 	if e.haveLast && avail == e.lastAvail {
 		return e.lastF, e.lastErr
 	}
-	f, err := e.cp.Formulate(p.Res.CanReserve)
+	f, err := e.cp.Formulate(avail.Grants)
 	e.lastAvail, e.lastF, e.lastErr, e.haveLast = avail, f, err, true
 	return f, err
 }

@@ -51,18 +51,21 @@ type Config struct {
 	PropDelay, ProcDelay float64
 	// DialTimeout bounds connect plus the Hello handshake (default 2s).
 	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 2s). An expired
+	// WriteTimeout bounds each frame write (default 2s), and with it how
+	// long a receiver that stopped reading can stall a sender. An expired
 	// deadline is a send error: the connection is dropped and re-dialed
 	// on the next send.
 	WriteTimeout time.Duration
 	// MaxFrame caps frame payloads in both directions (default
 	// proto.DefaultMaxFrame).
 	MaxFrame int
-	// InboxDepth is the decoded-message queue depth; messages arriving
-	// into a full inbox are dropped and counted (default 256).
+	// InboxDepth is the decoded-message queue depth (default 256). A
+	// connection's read loop waits at a full inbox — nothing is dropped;
+	// TCP flow control carries the backpressure to the sender, whose
+	// WriteTimeout bounds it.
 	InboxDepth int
-	// Trace receives endpoint events (send errors, inbox overflows,
-	// peer lifecycle). Nil discards.
+	// Trace receives endpoint events (send errors, peer lifecycle). Nil
+	// discards.
 	Trace trace.Tracer
 	// Obs, when set, is the registry the endpoint's counters register
 	// into; nil creates a private one.
@@ -154,18 +157,30 @@ type Endpoint struct {
 	caps   map[radio.NodeID]resource.Vector
 	closed bool
 	wg     sync.WaitGroup
+	// onPeerDown, when set, hears of every lost connection
+	// (proto.Connected).
+	onPeerDown func(radio.NodeID)
 
 	inbox chan Delivery
+	// done is closed by Close; it releases read loops waiting at a full
+	// inbox.
+	done chan struct{}
+	// Self-sends that found the inbox full wait here, in order, for the
+	// pump goroutine to move them in: the node loop is the inbox's only
+	// reader, so a self-send from it must neither block nor be dropped.
+	selfMu  sync.Mutex
+	selfq   []Delivery
+	pumping bool
 	// onCatalog, when set (by the owning Node, before Start), consumes
-	// catalog pushes on the read loop instead of the inbox: a push is sent
-	// once per connection, so it must not be lost to an inbox overflow.
+	// catalog pushes on the read loop instead of the inbox: a push is
+	// applied where it is read, ahead of whatever the inbox still holds.
 	onCatalog func(*proto.CatalogUpdate)
 
 	// Sent counts frames written, Delivered frames decoded and queued
 	// (catalog pushes: applied), SendErrors sends that surfaced a socket
-	// failure, Overflows inbound messages dropped on a full inbox. All
-	// register into the configured obs registry under the canonical net.*
-	// names.
+	// failure, Overflows the times a message found the inbox full and had
+	// to wait. All register into the configured obs registry under the
+	// canonical net.* names.
 	Sent, Delivered, SendErrors, Overflows obs.Counter
 }
 
@@ -182,6 +197,7 @@ func NewEndpoint(cfg Config) *Endpoint {
 		links: make(map[radio.NodeID]radio.Link),
 		caps:  make(map[radio.NodeID]resource.Vector),
 		inbox: make(chan Delivery, cfg.InboxDepth),
+		done:  make(chan struct{}),
 	}
 	e.cfg.Obs.Register(obs.NetSent, &e.Sent)
 	e.cfg.Obs.Register(obs.NetDelivered, &e.Delivered)
@@ -199,6 +215,16 @@ func (e *Endpoint) Obs() *obs.Registry { return e.cfg.Obs }
 // Inbox is the stream of decoded inbound messages; the owning node's
 // loop drains it and feeds proto.Dispatch.
 func (e *Endpoint) Inbox() <-chan Delivery { return e.inbox }
+
+// NotifyPeerDown implements proto.Connected: TCP delivers a connection's
+// frames in order and loses none while the connection is up (a full
+// inbox makes its read loop wait, not drop), and fn hears of every
+// connection lost while the endpoint is open.
+func (e *Endpoint) NotifyPeerDown(fn func(peer radio.NodeID)) {
+	e.mu.Lock()
+	e.onPeerDown = fn
+	e.mu.Unlock()
+}
 
 // Timers returns the endpoint's scaled wall-clock timers.
 func (e *Endpoint) Timers() proto.Timers {
@@ -446,6 +472,7 @@ func (e *Endpoint) readLoop(p *peer) {
 			e.links[v.Node] = radio.Link{Pos: radio.Pos{X: v.X, Y: v.Y}, RangeM: v.RangeM, Bitrate: v.Bitrate}
 			e.caps[v.Node] = v.Capacity
 			e.mu.Unlock()
+			continue
 		case *proto.Bye:
 			e.dropPeer(p, "bye: "+v.Reason)
 			return
@@ -453,39 +480,104 @@ func (e *Endpoint) readLoop(p *peer) {
 			if e.onCatalog != nil {
 				e.onCatalog(v)
 				e.Delivered.Add(1)
-			} else {
-				e.enqueue(p.id, m)
+				continue
 			}
-		default:
-			e.enqueue(p.id, m)
+		}
+		if !e.enqueue(Delivery{From: p.id, Msg: m}) {
+			return // Close has the connection
 		}
 	}
 }
 
-// enqueue hands one message to the inbox, or drops and counts it when
-// the inbox is full.
-func (e *Endpoint) enqueue(from radio.NodeID, m proto.Msg) {
+// enqueue hands one message to the inbox, waiting while the inbox is
+// full: the connection stops being read, its socket buffers fill, and the
+// sender's writes slow to the consumer's pace. It reports false when the
+// endpoint closed first.
+func (e *Endpoint) enqueue(d Delivery) bool {
 	select {
-	case e.inbox <- Delivery{From: from, Msg: m}:
-		e.Delivered.Add(1)
+	case e.inbox <- d:
 	default:
 		e.Overflows.Add(1)
-		e.emit("inbox-overflow", fmt.Sprintf("dropped %s from node %d (inbox full)", m.Kind(), from))
+		select {
+		case e.inbox <- d:
+		case <-e.done:
+			return false
+		}
+	}
+	e.Delivered.Add(1)
+	return true
+}
+
+// enqueueSelf hands the inbox a message this node sent itself, without
+// ever blocking: behind a full inbox, or behind earlier self-sends still
+// waiting, it queues for the pump goroutine.
+func (e *Endpoint) enqueueSelf(d Delivery) error {
+	e.selfMu.Lock()
+	defer e.selfMu.Unlock()
+	if !e.pumping {
+		select {
+		case e.inbox <- d:
+			e.Delivered.Add(1)
+			return nil
+		default:
+		}
+		e.mu.Lock()
+		if e.closed {
+			e.mu.Unlock()
+			return errClosed
+		}
+		e.wg.Add(1) // under mu, like admit: Close has not begun to wait
+		e.mu.Unlock()
+		e.pumping = true
+		go e.pumpSelf()
+	}
+	e.Overflows.Add(1)
+	e.selfq = append(e.selfq, d)
+	return nil
+}
+
+// pumpSelf moves queued self-sends into the inbox as it drains, and ends
+// when none is left.
+func (e *Endpoint) pumpSelf() {
+	defer e.wg.Done()
+	for {
+		e.selfMu.Lock()
+		if len(e.selfq) == 0 {
+			e.selfq, e.pumping = nil, false
+			e.selfMu.Unlock()
+			return
+		}
+		d := e.selfq[0]
+		e.selfq[0] = Delivery{}
+		e.selfq = e.selfq[1:]
+		e.selfMu.Unlock()
+		select {
+		case e.inbox <- d:
+			e.Delivered.Add(1)
+		case <-e.done:
+			return
+		}
 	}
 }
 
 // dropPeer closes and forgets one connection; the address survives, so
-// the next send re-dials.
+// the next send re-dials. The first drop of a connection while the
+// endpoint is open is the peer-down event of proto.Connected.
 func (e *Endpoint) dropPeer(p *peer, why string) {
 	p.conn.Close()
 	e.mu.Lock()
-	if cur, ok := e.peers[p.id]; ok && cur == p {
+	cur, ok := e.peers[p.id]
+	lost := ok && cur == p && !e.closed
+	if lost {
 		delete(e.peers, p.id)
 	}
-	closed := e.closed
+	notify := e.onPeerDown
 	e.mu.Unlock()
-	if !closed {
+	if lost {
 		e.emit("peer-down", fmt.Sprintf("node %d: %s", p.id, why))
+		if notify != nil {
+			notify(p.id)
+		}
 	}
 }
 
@@ -522,7 +614,7 @@ func (e *Endpoint) writeBytes(conn gonet.Conn, frame []byte) error {
 // a TCP send can genuinely fail — dial refused, connection broken,
 // write deadline expired — and the failure is returned, counted, and
 // traced; the broken connection is dropped so the reliability layer's
-// retransmissions re-dial.
+// retries re-dial. A send to self never blocks (see enqueueSelf).
 func (e *Endpoint) Send(to radio.NodeID, m proto.Msg) error {
 	e.mu.Lock()
 	closed := e.closed
@@ -532,8 +624,7 @@ func (e *Endpoint) Send(to radio.NodeID, m proto.Msg) error {
 	}
 	if to == e.cfg.Self {
 		e.Sent.Add(1)
-		e.enqueue(to, m)
-		return nil
+		return e.enqueueSelf(Delivery{From: to, Msg: m})
 	}
 	p, err := e.connect(to)
 	if err != nil {
@@ -712,6 +803,7 @@ func (e *Endpoint) Close() error {
 	}
 	e.peers = make(map[radio.NodeID]*peer)
 	e.mu.Unlock()
+	close(e.done)
 	if ln != nil {
 		ln.Close()
 	}

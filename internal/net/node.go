@@ -19,9 +19,11 @@ type NodeConfig struct {
 	Endpoint Config
 	// Provider configures the node's QoS Provider.
 	Provider core.ProviderConfig
-	// Retry enables the at-least-once reliability layer, exactly as on
-	// the other runtimes; over real sockets it doubles as the re-dial
-	// schedule for transiently unreachable peers.
+	// Retry enables the at-least-once reliability layer. The Endpoint is
+	// a proto.Connected transport, so a frame is written once and the
+	// schedule runs for it only on evidence of loss: its send failed, or
+	// its peer's connection went down within the schedule's span of the
+	// send (DESIGN.md §12). It is then the re-dial schedule too.
 	Retry proto.RetryConfig
 }
 

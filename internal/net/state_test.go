@@ -3,6 +3,7 @@ package net
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	gonet "net"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/radio"
+	"repro/internal/task"
 	"repro/internal/workload"
 )
 
@@ -53,26 +55,42 @@ func countPushes(n *Node) *atomic.Int64 {
 	return &pushes
 }
 
-// form runs one formation from org to its first result and dissolves it.
-func form(t testing.TB, org *Node, svcTemplate workload.SessionTemplate, seq int) *core.Result {
-	t.Helper()
+// negotiate submits svc from org; the results of its formation attempts
+// arrive on the returned channel.
+func negotiate(org *Node, svc *task.Service) (*core.Organizer, <-chan *core.Result, error) {
 	formed := make(chan *core.Result, 8) // a reformation or two must not block the timer goroutine
-	o, err := org.Submit(svcTemplate.Instantiate(seq), core.DefaultOrganizerConfig, func(r *core.Result) {
+	o, err := org.Submit(svc, core.DefaultOrganizerConfig, func(r *core.Result) {
 		select {
 		case formed <- r:
 		default:
 		}
 	})
+	return o, formed, err
+}
+
+// form runs one formation from org to its first result and dissolves it.
+func form(t testing.TB, org *Node, svcTemplate workload.SessionTemplate, seq int) *core.Result {
+	t.Helper()
+	r, err := formOnce(org, svcTemplate, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+// formOnce is form for goroutines other than the test's: it returns the
+// failure instead of ending the test.
+func formOnce(org *Node, svcTemplate workload.SessionTemplate, seq int) (*core.Result, error) {
+	o, formed, err := negotiate(org, svcTemplate.Instantiate(seq))
+	if err != nil {
+		return nil, err
+	}
+	defer o.Dissolve("test: formed")
 	select {
 	case r := <-formed:
-		o.Dissolve("test: formed")
-		return r
+		return r, nil
 	case <-time.After(10 * time.Second):
-		t.Fatalf("formation %d did not complete", seq)
-		return nil
+		return nil, fmt.Errorf("formation %d did not complete", seq)
 	}
 }
 
@@ -211,8 +229,9 @@ func TestConcurrentConnectSharesOneDial(t *testing.T) {
 }
 
 // TestLongLivedNodeStaysBounded is ROADMAP 4(c) for the TCP runtime:
-// over 1000 formations a node's heap, organizer table and goroutines
-// follow what is in flight, not what has been.
+// over 1000 formations a node's heap, organizer table, replay ring and
+// goroutines follow what is in flight, not what has been — and on a
+// link that lost nothing, nothing was sent twice.
 func TestLongLivedNodeStaysBounded(t *testing.T) {
 	const formations, scale = 1000, 0.004
 	const heapSlack = 2 << 20 // a node that keeps its organizers grows ≈ 4 MiB over the measured stretch
@@ -243,6 +262,14 @@ func TestLongLivedNodeStaysBounded(t *testing.T) {
 	waitFor(t, "both ledgers to drain", func() bool {
 		return org.Res.Available() == org.Res.Capacity() && d.Res.Available() == d.Res.Capacity()
 	})
+	for _, n := range []*Node{org, d} {
+		if held := n.ReplayHeld(); held > proto.DedupWindow {
+			t.Errorf("node %d keeps %d frames for replay, more than a dedup window", n.Endpoint.Self(), held)
+		}
+		if retx := n.Retransmissions(); retx != 0 {
+			t.Errorf("node %d retransmitted %d frames over a connection that never went down", n.Endpoint.Self(), retx)
+		}
+	}
 
 	org.Close()
 	d.Close()
@@ -376,26 +403,42 @@ func TestDecoderMatchesCodecOnALoopbackFormation(t *testing.T) {
 // path — Submit, catalog check, CFP broadcast, proposals, awards, acks,
 // first result, Dissolve — on a three-node loopback fleet. Time per op
 // is mostly the two mandated windows (2 × 0.25 virtual s × the time
-// scale); allocs per op is the figure to watch.
+// scale); allocs per op is the figure to watch, and frames/op and
+// retx/op say how much of it is traffic.
 func BenchmarkLoopbackFormation(b *testing.B) {
 	const scale = 0.004
 	tmpl := workload.SessionTemplate{Name: "bench", Tasks: 3, Scale: 0.02}
 	org := startInteropNode(b, 0, 3, "", scale)
+	nodes := []*Node{org}
 	for id := 1; id <= 2; id++ {
 		d := startInteropNode(b, id, 3, "127.0.0.1:0", scale)
 		if err := org.Endpoint.Dial(radio.NodeID(id), d.Endpoint.Addr()); err != nil {
 			b.Fatal(err)
 		}
+		nodes = append(nodes, d)
 	}
 	seq := 0
 	for ; seq < 20; seq++ { // connection buffers, compiled problems, catalogs
 		form(b, org, tmpl, seq)
 	}
+	traffic := func() (frames, retx uint64) {
+		for _, n := range nodes {
+			frames += n.Endpoint.Sent.Load()
+			retx += n.Retransmissions()
+		}
+		return frames, retx
+	}
+	frames0, retx0 := traffic()
 	b.ReportAllocs()
 	b.ResetTimer()
 	rounds := 0
 	for i := 0; i < b.N; i++ {
 		rounds += form(b, org, tmpl, seq+i).Rounds
 	}
+	b.StopTimer()
+	// The last Dissolve may still be on its way: under one frame per op.
+	frames, retx := traffic()
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op") // above 1: a window was missed on a busy box
+	b.ReportMetric(float64(frames-frames0)/float64(b.N), "frames/op")
+	b.ReportMetric(float64(retx-retx0)/float64(b.N), "retx/op") // above 0: a connection went down
 }

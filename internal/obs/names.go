@@ -32,7 +32,8 @@ const (
 	// fabric's message traffic (internal/net): frames written, frames
 	// dispatched after decode, sends that surfaced a socket error
 	// (dial/write/deadline failures — modeled loss never counts here),
-	// and inbound messages dropped on a full endpoint inbox.
+	// and messages that found the endpoint inbox full and had to wait
+	// (nothing is dropped there).
 	NetSent       = "net.sent"
 	NetDelivered  = "net.delivered"
 	NetSendErrors = "net.send_errors"

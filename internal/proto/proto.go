@@ -200,8 +200,13 @@ func (m *Dissolve) Kind() string { return "dissolve" }
 // not an error: it is the lossy medium the protocol is designed for, so
 // the sim and live transports always return nil. Callers treat errors
 // as advisory — the negotiation is loss-tolerant by construction and
-// the reliability layer (Reliable) retries regardless — but the TCP
-// path surfaces them into the obs counters instead of swallowing them.
+// the reliability layer (Reliable) retries a failed send on any
+// transport — but the TCP path surfaces them into the obs counters
+// instead of swallowing them.
+//
+// A transport that guarantees more than this — ordered, lossless
+// delivery while a connection is up — says so by also implementing
+// Connected.
 type Transport interface {
 	// Self returns the local node ID.
 	Self() radio.NodeID

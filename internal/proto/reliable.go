@@ -2,6 +2,7 @@ package proto
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -16,13 +17,21 @@ import (
 // classic pair:
 //
 //   - at-least-once delivery: the Reliable transport wraps retriable
-//     messages in a Sequenced envelope and blindly retransmits them a
-//     bounded number of times with exponential backoff and
-//     deterministic jitter — no acks, so the message flow stays the
-//     paper's and the overhead is a fixed small factor;
+//     messages in a Sequenced envelope and retransmits them a bounded
+//     number of times with exponential backoff and deterministic jitter
+//     — no acks, so the message flow stays the paper's;
 //   - idempotence: receivers drop (sender, seq) duplicates through a
 //     Dedup window before dispatch, so retransmissions and
 //     fault-injected duplicates collapse to one effective delivery.
+//
+// When a frame is retransmitted depends on what the link can tell the
+// sender. A best-effort link (the simulated radio, internal/live) tells
+// it nothing, so every frame is retransmitted blindly on the schedule
+// and the overhead is a fixed small factor. A connection-oriented link
+// (internal/net, the Connected capability) loses a frame only with its
+// connection, so a frame is written once and the schedule runs for it
+// only on evidence: its send failed, or its peer's connection went down
+// within the schedule's span of the send.
 //
 // Everything is deterministic: retry delays come from a splitmix64
 // hash of (self, seq, attempt), never from an rng, so enabling
@@ -125,8 +134,23 @@ func Retriable(m Msg) bool {
 	return !hb
 }
 
-// Reliable decorates a Transport with bounded blind retransmission of
-// sequenced messages. Sequence allocation and the retry counter are
+// Connected is the optional capability by which a transport states a
+// stronger contract than Transport's: frames to a peer arrive in order,
+// none is lost while the connection to that peer is up, and every
+// connection that went down is reported. Reliable looks for it once, when
+// it is built; internal/net's Endpoint has it, the simulated radio and
+// internal/live do not.
+type Connected interface {
+	// NotifyPeerDown registers the function the transport calls — from its
+	// own goroutines, holding none of its locks — each time an established
+	// connection to a peer is lost. A later registration replaces the
+	// earlier one.
+	NotifyPeerDown(fn func(peer radio.NodeID))
+}
+
+// Reliable decorates a Transport with bounded retransmission of
+// sequenced messages: blind on a best-effort transport, on evidence of
+// loss on a Connected one. Sequence allocation and the retry counter are
 // atomic so the live runtime's timer goroutines can share one per node;
 // the simulator's single-threaded use pays only the uncontended cost.
 type Reliable struct {
@@ -135,18 +159,25 @@ type Reliable struct {
 	cfg   RetryConfig
 	seq   atomic.Uint64
 
+	// sent is nil on a best-effort transport, which pays for no ring.
+	sent *replayRing
+
 	// retx counts retry sends actually issued, for the overhead columns
 	// of the chaos experiments; it registers into the owning runtime's
 	// obs.Registry as "proto.retransmissions".
 	retx obs.Counter
 }
 
-// NewReliable wraps a transport. A disabled config (Retries == 0)
-// returns nil-like passthrough behavior — callers should keep the bare
-// transport instead; NewReliable still handles it gracefully by never
-// wrapping.
+// NewReliable wraps a transport. A disabled config (Retries == 0) makes
+// every Send and Broadcast a passthrough; a caller that knows the layer
+// is off keeps the bare transport instead, as core.NewHost does.
 func NewReliable(inner Transport, tm Timers, cfg RetryConfig) *Reliable {
-	return &Reliable{inner: inner, tm: tm, cfg: cfg.withDefaults()}
+	r := &Reliable{inner: inner, tm: tm, cfg: cfg.withDefaults()}
+	if c, ok := inner.(Connected); ok && r.cfg.Enabled() {
+		r.sent = &replayRing{horizon: r.cfg.span()}
+		c.NotifyPeerDown(r.peerDown)
+	}
+	return r
 }
 
 // Self implements Transport.
@@ -158,18 +189,16 @@ func (r *Reliable) CommCost(to radio.NodeID, size int64) float64 {
 }
 
 // Send implements Transport: retriable messages to other nodes are
-// wrapped, sent, and blindly retransmitted on the backoff schedule.
+// wrapped, sent, and retransmitted on the backoff schedule — always on a
+// best-effort transport, on evidence of loss on a Connected one.
 // Self-sends and heartbeats pass through unwrapped. The returned error
-// is the initial transmission's; retries are scheduled regardless, so
-// a transient dial failure still heals through the backoff schedule.
+// is the initial transmission's; a failed send is retried on either kind
+// of transport, so a transient dial failure heals through the schedule.
 func (r *Reliable) Send(to radio.NodeID, m Msg) error {
 	if to == r.inner.Self() || !r.cfg.Enabled() || !Retriable(m) {
 		return r.inner.Send(to, m)
 	}
-	w := r.wrap(m)
-	err := r.inner.Send(to, w)
-	r.scheduleRetries(func() { _ = r.inner.Send(to, w) }, w.Seq)
-	return err
+	return r.send(to, m)
 }
 
 // Broadcast implements Transport: each retransmission re-broadcasts,
@@ -178,14 +207,44 @@ func (r *Reliable) Broadcast(m Msg) error {
 	if !r.cfg.Enabled() || !Retriable(m) {
 		return r.inner.Broadcast(m)
 	}
-	w := r.wrap(m)
-	err := r.inner.Broadcast(w)
-	r.scheduleRetries(func() { _ = r.inner.Broadcast(w) }, w.Seq)
+	return r.send(radio.Broadcast, m)
+}
+
+// send wraps m and transmits it to one node or, for radio.Broadcast, to
+// all neighbours.
+func (r *Reliable) send(to radio.NodeID, m Msg) error {
+	w := &Sequenced{Seq: r.seq.Add(1), Inner: m}
+	if r.sent == nil {
+		err := r.transmit(to, w)
+		r.scheduleRetries(to, w)
+		return err
+	}
+	// Remembered before it is written: a connection that dies under the
+	// write must find the frame in the ring.
+	f := r.sent.push(w, to, r.tm)
+	err := r.transmit(to, w)
+	if err != nil && r.sent.claim(f, w) {
+		r.scheduleRetries(to, w)
+	}
 	return err
 }
 
-func (r *Reliable) wrap(m Msg) *Sequenced {
-	return &Sequenced{Seq: r.seq.Add(1), Inner: m}
+func (r *Reliable) transmit(to radio.NodeID, w *Sequenced) error {
+	if to == radio.Broadcast {
+		return r.inner.Broadcast(w)
+	}
+	return r.inner.Send(to, w)
+}
+
+// peerDown is the Connected transport's report that the connection to a
+// peer was lost: every frame that went to that peer, alone or in a
+// broadcast, within the retry horizon may have been in the connection's
+// buffers, so the schedule runs for each. The retries re-dial; a frame
+// that had arrived after all is the receiver's Dedup window's to drop.
+func (r *Reliable) peerDown(peer radio.NodeID) {
+	for _, f := range r.sent.claimSentTo(peer, r.tm.Now()) {
+		r.scheduleRetries(f.to, f.w)
+	}
 }
 
 // Retransmissions reports the retry sends issued so far.
@@ -195,21 +254,125 @@ func (r *Reliable) Retransmissions() uint64 { return r.retx.Load() }
 // an obs.Registry under obs.Retransmissions.
 func (r *Reliable) RetxCounter() *obs.Counter { return &r.retx }
 
+// Held reports how many sent frames are kept for replay: 0 on a
+// best-effort transport, never more than DedupWindow.
+func (r *Reliable) Held() int {
+	if r.sent == nil {
+		return 0
+	}
+	r.sent.mu.Lock()
+	defer r.sent.mu.Unlock()
+	return r.sent.n
+}
+
 // scheduleRetries arms the bounded retransmission timers: attempt i
 // (1-based) fires min(Backoff*Factor^(i-1), MaxBackoff)*(1+Jitter*u_i)
 // seconds after attempt i-1.
-func (r *Reliable) scheduleRetries(send func(), seq uint64) {
+func (r *Reliable) scheduleRetries(to radio.NodeID, w *Sequenced) {
 	delay := 0.0
 	backoff := r.cfg.Backoff
 	for i := 1; i <= r.cfg.Retries; i++ {
 		step := math.Min(backoff, r.cfg.MaxBackoff)
-		delay += step * (1 + r.cfg.Jitter*jitter01(r.inner.Self(), seq, i))
+		delay += step * (1 + r.cfg.Jitter*jitter01(r.inner.Self(), w.Seq, i))
 		r.tm.After(delay, func() {
 			r.retx.Inc()
-			send()
+			_ = r.transmit(to, w) // a retry that fails is not retried: Retries bounds the sends
 		})
 		backoff *= r.cfg.Factor
 	}
+}
+
+// span is the longest the schedule can run: the last retry's delay at
+// full jitter (0.225 s at DefaultRetryConfig). It is the retry horizon
+// of a Connected transport, so what a replay covers is what the blind
+// schedule covered.
+func (c RetryConfig) span() float64 {
+	span, backoff := 0.0, c.Backoff
+	for i := 1; i <= c.Retries; i++ {
+		span += math.Min(backoff, c.MaxBackoff) * (1 + c.Jitter)
+		backoff *= c.Factor
+	}
+	return span
+}
+
+// sentFrame is one sequenced frame as it first went out.
+type sentFrame struct {
+	w        *Sequenced
+	to       radio.NodeID // radio.Broadcast for a broadcast
+	at       float64
+	retrying bool // the schedule has run for it; it runs once
+}
+
+// replayRing is what a Connected transport may yet ask Reliable to send
+// again: the frames of the last horizon seconds, oldest first, and never
+// more than DedupWindow of them — anything older the receiver would call
+// a duplicate anyway. Frames leave as later ones arrive, so an idle node
+// pins at most its last burst.
+type replayRing struct {
+	mu      sync.Mutex
+	horizon float64
+	head, n int
+	frames  [DedupWindow]sentFrame
+}
+
+func (q *replayRing) at(i int) *sentFrame { return &q.frames[(q.head+i)%DedupWindow] }
+
+// push remembers a frame about to go out and returns its slot for claim.
+// The clock is read under the lock, so the ring is ordered by time.
+func (q *replayRing) push(w *Sequenced, to radio.NodeID, tm Timers) *sentFrame {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	now := tm.Now()
+	q.expire(now)
+	if q.n == DedupWindow {
+		q.drop()
+	}
+	f := q.at(q.n)
+	*f = sentFrame{w: w, to: to, at: now}
+	q.n++
+	return f
+}
+
+func (q *replayRing) expire(now float64) {
+	for q.n > 0 && now-q.at(0).at > q.horizon {
+		q.drop()
+	}
+}
+
+func (q *replayRing) drop() {
+	*q.at(0) = sentFrame{}
+	q.head = (q.head + 1) % DedupWindow
+	q.n--
+}
+
+// claim marks the frame w in slot f as retrying and reports whether the
+// caller is the first to ask. A frame the ring has let go (its slot is
+// empty or another's) is the caller's: nobody else can claim it.
+func (q *replayRing) claim(f *sentFrame, w *Sequenced) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if f.w != w {
+		return true
+	}
+	first := !f.retrying
+	f.retrying = true
+	return first
+}
+
+// claimSentTo claims every unclaimed frame still inside the horizon that
+// went to peer or to everybody.
+func (q *replayRing) claimSentTo(peer radio.NodeID, now float64) []sentFrame {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.expire(now)
+	var lost []sentFrame
+	for i := 0; i < q.n; i++ {
+		if f := q.at(i); !f.retrying && (f.to == peer || f.to == radio.Broadcast) {
+			f.retrying = true
+			lost = append(lost, *f)
+		}
+	}
+	return lost
 }
 
 // Dedup is the receiver-side duplicate filter: one sliding window of

@@ -81,8 +81,16 @@ func (s *Set) SetCapacity(k Kind, c float64) {
 func (s *Set) CanReserve(demand Vector) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.capacity.Sub(s.reserved).Grants(demand)
+}
+
+// Grants is CanReserve's test on an availability vector: whether every
+// kind demand asks for is covered. Kinds it does not ask for are not
+// looked at, so an overcommitted kind (capacity lowered under its
+// reservations) refuses only demand for that kind.
+func (v Vector) Grants(demand Vector) bool {
 	for k, amt := range demand {
-		if amt > 0 && s.capacity[k]-s.reserved[k] < amt {
+		if amt > 0 && v[k] < amt {
 			return false
 		}
 	}

@@ -24,7 +24,8 @@
 # overhead benchmark; since PR 8 every snapshot can also land in the
 # append-only results store (RESULTS.jsonl) that cmd/qostrend renders.
 # BENCH_PR10.json adds the E29 admission-policy sweep. Since PR 15 the
-# snapshot also carries the wire path (internal/proto, internal/net).
+# snapshot also carries the wire path (internal/proto, internal/net),
+# since PR 16 with the loopback formation's frames/op and retx/op.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,14 +68,20 @@ BEGIN {
 /^Benchmark/ {
   name = $1
   sub(/-[0-9]+$/, "", name)
-  ns = ""; bytes = ""; allocs = ""
+  ns = ""; bytes = ""; allocs = ""; extra = ""
   for (i = 2; i < NF; i++) {
     if ($(i+1) == "ns/op") ns = $i
-    if ($(i+1) == "B/op") bytes = $i
-    if ($(i+1) == "allocs/op") allocs = $i
+    else if ($(i+1) == "B/op") bytes = $i
+    else if ($(i+1) == "allocs/op") allocs = $i
+    else if ($(i+1) ~ /^[a-z]+\/op$/) {
+      # b.ReportMetric columns (rounds/op, frames/op, retx/op): they say
+      # why allocs/op moved; the store importer ignores keys it does not know.
+      key = $(i+1); sub(/\/op$/, "_op", key)
+      extra = extra sprintf(", \"%s\": %s", key, $i)
+    }
   }
   if (ns == "") next
-  printf "%s    \"%s\": {\"ns_op\": %s, \"bytes_op\": %s, \"allocs_op\": %s}", sep, name, ns, bytes == "" ? "null" : bytes, allocs == "" ? "null" : allocs
+  printf "%s    \"%s\": {\"ns_op\": %s, \"bytes_op\": %s, \"allocs_op\": %s%s}", sep, name, ns, bytes == "" ? "null" : bytes, allocs == "" ? "null" : allocs, extra
   sep = ",\n"
 }
 END { printf "\n  }\n}\n" }
