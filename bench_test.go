@@ -51,7 +51,7 @@ func BenchmarkE8Heterogeneity(b *testing.B)      { benchExperiment(b, xp.E8Heter
 func BenchmarkE9DistanceConsistency(b *testing.B) {
 	benchExperiment(b, xp.E9DistanceConsistency)
 }
-func BenchmarkE10LiveVsSim(b *testing.B)          { benchExperiment(b, xp.E10LiveVsSim) }
+func BenchmarkE10NetVsSim(b *testing.B)           { benchExperiment(b, xp.E10NetVsSim) }
 func BenchmarkE11MobilityStress(b *testing.B)     { benchExperiment(b, xp.E11MobilityStress) }
 func BenchmarkE12LossyRadio(b *testing.B)         { benchExperiment(b, xp.E12LossyRadio) }
 func BenchmarkE13ConcurrentServices(b *testing.B) { benchExperiment(b, xp.E13ConcurrentServices) }

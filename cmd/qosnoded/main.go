@@ -1,6 +1,6 @@
 // Command qosnoded runs one QoS provider node as a network daemon: a
 // TCP endpoint speaking the framed binary protocol codec, hosting the
-// same provider state machine the simulator and the live runtime use.
+// same provider state machine the simulator uses.
 // A fleet of qosnoded processes plus a qosim client (-connect) is the
 // fully networked deployment of the coalition-formation protocol.
 //

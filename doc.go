@@ -16,8 +16,7 @@
 //     node assembly (core.Host) every runtime embeds;
 //   - internal/sim, internal/radio — deterministic discrete-event engine
 //     and the simulated ad-hoc radio medium;
-//   - internal/live, internal/net — the same host driven from
-//     goroutines + channels and from TCP sockets;
+//   - internal/net — the same host driven from TCP sockets;
 //   - internal/baseline, internal/workload, internal/metrics,
 //     internal/xp — baselines, synthetic workloads and the experiment
 //     suite (E1–E16, run by a parallel sweep engine; see EXPERIMENTS.md).

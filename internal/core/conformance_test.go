@@ -1,12 +1,10 @@
 package core_test
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/live"
 	qnet "repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/proto"
@@ -22,7 +20,7 @@ type neighbourhood struct {
 	hosts  []*core.Host
 	submit func(*task.Service, core.OrganizerConfig, func(*core.Result)) (*core.Organizer, error)
 	// settle drives the runtime until cond holds and reports whether it
-	// did: simulated time on the simulator, wall time on the others.
+	// did: simulated time on the simulator, wall time on net.
 	settle func(cond func() bool) bool
 	obs    func() obs.Snapshot
 	// stop ends delivery, after which the test may call Deliver itself.
@@ -59,30 +57,13 @@ func simNeighbourhood(t *testing.T, retry proto.RetryConfig) *neighbourhood {
 	return nb
 }
 
-// pollWall is settle for the wall-clock runtimes.
+// pollWall is settle for the wall-clock runtime.
 func pollWall(cond func() bool) bool {
 	deadline := time.Now().Add(10 * time.Second)
 	for !cond() && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	return cond()
-}
-
-func liveNeighbourhood(t *testing.T, retry proto.RetryConfig) *neighbourhood {
-	rt := live.NewRuntime(live.Config{TimeScale: 0.01, Provider: core.DefaultProviderConfig, Retry: retry})
-	var once sync.Once // Shutdown may run once; the table stops early, Cleanup covers a Fatal
-	stop := func() { once.Do(rt.Shutdown) }
-	t.Cleanup(stop)
-	nb := &neighbourhood{obs: rt.Obs.Snapshot, settle: pollWall, stop: stop}
-	for i, p := range conformanceProfiles {
-		n, err := rt.AddNode(radio.NodeID(i), radio.Pos{X: 10 * float64(i)}, p.RangeM, p.Bitrate, p.Capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb.hosts = append(nb.hosts, n.Host)
-	}
-	nb.submit = rt.Node(0).Submit
-	return nb
 }
 
 func netNeighbourhood(t *testing.T, retry proto.RetryConfig) *neighbourhood {
@@ -123,7 +104,7 @@ func netNeighbourhood(t *testing.T, retry proto.RetryConfig) *neighbourhood {
 }
 
 // TestRuntimeConformance holds the one node assembly to the same
-// behaviour on all three runtimes, with and without the reliability
+// behaviour on both runtimes, with and without the reliability
 // layer: what Organize, Retire, Deliver and the counter registration
 // promise is promised by core.Host, so it is asserted once, here, and
 // not per runtime.
@@ -133,7 +114,6 @@ func TestRuntimeConformance(t *testing.T) {
 		build func(*testing.T, proto.RetryConfig) *neighbourhood
 	}{
 		{"sim", simNeighbourhood},
-		{"live", liveNeighbourhood},
 		{"net", netNeighbourhood},
 	}
 	retries := []struct {

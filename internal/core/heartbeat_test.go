@@ -11,7 +11,7 @@ import (
 )
 
 // TestHeartbeatTaskIDsSorted runs a provider on the recording transport —
-// the stand-in for the goroutine runtimes, where a sent message outlives
+// the stand-in for the TCP runtime, where a sent message outlives
 // the tick — and pins the heartbeat's task list: sorted, so the encoded
 // frame does not vary with map iteration order; rebuilt when the running
 // set changes and only then; and never rewritten under a message already

@@ -16,8 +16,8 @@ import (
 // requested service on each node (Section 4.1), whatever link the node is
 // on. A runtime supplies what genuinely differs — the transport, the
 // clock, the catalog and the counter registry — and drives the host with
-// Deliver; the simulator (Cluster), the goroutine runtime (internal/live)
-// and the TCP runtime (internal/net) all embed it.
+// Deliver; the simulator (Cluster) and the TCP runtime (internal/net)
+// both embed it.
 type Host struct {
 	Res      *resource.Set
 	Provider *Provider
@@ -28,7 +28,7 @@ type Host struct {
 	reliable *proto.Reliable
 	dedup    proto.Dedup // touched only by the goroutine that calls Deliver
 
-	// mu guards organizers: on live and net, Organize and Retire run off
+	// mu guards organizers: on net, Organize and Retire run off
 	// the goroutine that delivers. On the single-threaded simulator the
 	// lock is uncontended.
 	mu         sync.Mutex
@@ -111,7 +111,7 @@ func (h *Host) Deliver(from radio.NodeID, m proto.Msg) bool {
 
 // Organize registers the service in the catalog and installs an
 // organizer for it, not yet started: the runtime decides when Start runs
-// (the simulator schedules it, live and net call it at once). A node
+// (the simulator schedules it, net calls it at once). A node
 // organizes a service ID at most once at a time; the duplicate is
 // rejected before the catalog or the transport is touched.
 //

@@ -37,8 +37,7 @@ type ProviderConfig struct {
 	// the sender runs again. It lets the heartbeat loop reuse one message
 	// and task buffer per service instead of allocating per tick. Only
 	// NewHost sets it, when it is handed the cluster's in-engine
-	// transport; goroutine-backed transports (internal/live, internal/net)
-	// leave it false.
+	// transport; the TCP transport (internal/net) leaves it false.
 	simTransport bool
 }
 

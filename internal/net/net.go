@@ -1,15 +1,14 @@
 // Package net runs the coalition formation protocol over real TCP
-// sockets: the third runtime after the discrete-event simulator
-// (internal/core over internal/radio) and the in-process goroutine
-// runtime (internal/live). Every node is an OS process hosting an
-// Endpoint — a listener, a pool of framed connections, and a peer
-// directory learned from Hello handshakes — and the exact protocol
+// sockets: the runtime beside the discrete-event simulator
+// (internal/core over internal/radio). Every node is an OS process
+// hosting an Endpoint — a listener, a pool of framed connections, and a
+// peer directory learned from Hello handshakes — and the exact protocol
 // state machines of internal/core run on top through the shared
 // proto.Transport/proto.Timers contract. Frames are proto.Codec
 // encodings; reachability and communication cost evaluate through
 // radio.Link with the same arithmetic as the simulated medium, so a
 // TCP-loopback negotiation selects the same coalition as the sim run
-// of the same scenario (experiment E28).
+// of the same scenario (experiments E10 and E28).
 package net
 
 import (
@@ -42,8 +41,7 @@ type Config struct {
 	// Capacity is the node's total resource vector, advertised in Hello.
 	Capacity resource.Vector
 	// TimeScale converts the protocol's virtual seconds to wall-clock
-	// for the endpoint's Timers, exactly like the live runtime
-	// (default 0.02).
+	// for the endpoint's Timers (default 0.02).
 	TimeScale float64
 	// PropDelay and ProcDelay parameterize the communication-cost model
 	// (radio.LinkLatency); set them to the sim scenario's radio.Config
@@ -231,8 +229,7 @@ func (e *Endpoint) Timers() proto.Timers {
 	return clockTimers{start: e.start, scale: e.cfg.TimeScale}
 }
 
-// clockTimers maps virtual protocol seconds onto scaled wall-clock,
-// identically to the live runtime.
+// clockTimers maps virtual protocol seconds onto scaled wall-clock.
 type clockTimers struct {
 	start time.Time
 	scale float64
@@ -610,11 +607,11 @@ func (e *Endpoint) writeBytes(conn gonet.Conn, frame []byte) error {
 	return err
 }
 
-// Send implements proto.Transport. Unlike the sim and live transports
-// a TCP send can genuinely fail — dial refused, connection broken,
-// write deadline expired — and the failure is returned, counted, and
-// traced; the broken connection is dropped so the reliability layer's
-// retries re-dial. A send to self never blocks (see enqueueSelf).
+// Send implements proto.Transport. Unlike the sim transport a TCP send
+// can genuinely fail — dial refused, connection broken, write deadline
+// expired — and the failure is returned, counted, and traced; the
+// broken connection is dropped so the reliability layer's retries
+// re-dial. A send to self never blocks (see enqueueSelf).
 func (e *Endpoint) Send(to radio.NodeID, m proto.Msg) error {
 	e.mu.Lock()
 	closed := e.closed

@@ -105,6 +105,27 @@ func TestEndpointLoopbackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTimersScaleVirtualSeconds: the endpoint's timers run the protocol's
+// virtual seconds at TimeScale wall seconds each — one virtual second is
+// a millisecond at 0.001, and a timer never fires early on the virtual
+// clock.
+func TestTimersScaleVirtualSeconds(t *testing.T) {
+	cfg := testConfig(1, 0)
+	cfg.TimeScale = 0.001
+	tm := NewEndpoint(cfg).Timers()
+	start := tm.Now()
+	fired := make(chan float64, 1)
+	tm.After(1, func() { fired <- tm.Now() })
+	select {
+	case now := <-fired:
+		if now-start < 1 {
+			t.Errorf("timer fired after %.3f virtual s, want >= 1", now-start)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a 1 ms timer did not fire within 5 s")
+	}
+}
+
 func TestEndpointSelfSend(t *testing.T) {
 	cfg := testConfig(7, 0)
 	cfg.ListenAddr = "" // dial-only endpoints can still self-deliver

@@ -28,9 +28,8 @@ type NodeConfig struct {
 }
 
 // Node is one networked device: the shared core.Host — the assembly
-// the simulator and the goroutine runtime also run — driven by an
-// Endpoint's inbox, plus the catalog push that stands in for the
-// out-of-band catalog the in-process runtimes share.
+// the simulator also runs — driven by an Endpoint's inbox, plus the
+// catalog push that stands in for the simulator's shared catalog.
 type Node struct {
 	*core.Host
 	Endpoint *Endpoint
@@ -87,7 +86,7 @@ func (n *Node) Close() error {
 
 // loop drains the endpoint inbox into the host; it is the single
 // goroutine that touches the dedup window and the protocol state
-// machines, matching the live runtime's one-loop-per-node discipline.
+// machines, as core.Host.Deliver requires.
 func (n *Node) loop() {
 	defer close(n.done)
 	for {

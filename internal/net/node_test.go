@@ -7,8 +7,56 @@ import (
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/radio"
+	"repro/internal/resource"
 	"repro/internal/workload"
 )
+
+// startNode boots a loopback node with the given link and capacity and
+// closes it with the test.
+func startNode(t *testing.T, id radio.NodeID, link radio.Link, capacity resource.Vector) *Node {
+	t.Helper()
+	n := NewNode(NodeConfig{
+		Endpoint: Config{
+			Self:       id,
+			ListenAddr: "127.0.0.1:0",
+			Link:       link,
+			Capacity:   capacity,
+			TimeScale:  0.01,
+		},
+		Provider: core.DefaultProviderConfig,
+		Retry:    proto.DefaultRetryConfig,
+	})
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// TestOutOfRangeNodeNeverAssigned: a dialled neighbour outside radio
+// range takes no part in a formation, even one the organizer cannot
+// serve itself. TestEndpointBroadcastRangeFilter checks the endpoint's
+// filter; this checks that no path of the protocol goes around it.
+func TestOutOfRangeNodeNeverAssigned(t *testing.T) {
+	org := startNode(t, 0, radio.Link{RangeM: 60, Bitrate: 2e6}, workload.Phone.Capacity)
+	far := startNode(t, 1, radio.Link{Pos: radio.Pos{X: 10000}, RangeM: 100, Bitrate: 11e6}, workload.Laptop.Capacity)
+	if err := org.Endpoint.Dial(1, far.Endpoint.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	_, formed, err := negotiate(org, workload.StreamService("far", 2, 2.0)) // too heavy for the phone
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := await(t, formed)
+	for tid, a := range res.Assigned {
+		if a.Node == 1 {
+			t.Errorf("task %s assigned to the out-of-range node", tid)
+		}
+	}
+	if !idle(far) {
+		t.Errorf("out-of-range node holds %v of %v", far.Res.Available(), far.Res.Capacity())
+	}
+}
 
 // TestTwoNodeNegotiation runs a real coalition formation over TCP
 // loopback: node 0 organizes a one-task streaming service, node 1 is a
@@ -20,27 +68,10 @@ func TestTwoNodeNegotiation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := NodeConfig{
-			Endpoint: Config{
-				Self:       id,
-				ListenAddr: "127.0.0.1:0",
-				Link:       radio.Link{Pos: radio.Pos{X: x}, RangeM: p.RangeM, Bitrate: p.Bitrate},
-				Capacity:   p.Capacity,
-				TimeScale:  0.01,
-			},
-			Provider: core.DefaultProviderConfig,
-			Retry:    proto.DefaultRetryConfig,
-		}
-		n := NewNode(cfg)
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return n
+		return startNode(t, id, radio.Link{Pos: radio.Pos{X: x}, RangeM: p.RangeM, Bitrate: p.Bitrate}, p.Capacity)
 	}
 	org := mk(0, 0, "phone")
 	prov := mk(1, 10, "laptop")
-	defer prov.Close()
-	defer org.Close()
 
 	if err := org.Endpoint.Dial(1, prov.Endpoint.Addr()); err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 // This file pins the interop scenario shared by the qosnoded daemon,
 // qosim's client mode, and experiments E10 and E28: a fixed grid of
 // profiled nodes that can be instantiated identically on the
-// discrete-event simulator, the goroutine runtime and the TCP fabric,
-// so allocations are comparable across runtimes.
+// discrete-event simulator and the TCP fabric, so allocations are
+// comparable across runtimes.
 
 // InteropSpacing is the grid pitch of the interop topology, meters.
 const InteropSpacing = 10.0

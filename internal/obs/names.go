@@ -21,13 +21,6 @@ const (
 	Freezes = "session.freezes"
 	// Reclaimed counts reservations the reconciliation sweep reclaimed.
 	Reclaimed = "session.reclaimed"
-	// LiveSent/LiveDelivered/LiveDropped/LiveOverflows count the live
-	// runtime's message traffic; overflows are the full-inbox subset of
-	// drops.
-	LiveSent      = "live.sent"
-	LiveDelivered = "live.delivered"
-	LiveDropped   = "live.dropped"
-	LiveOverflows = "live.overflows"
 	// NetSent/NetDelivered/NetSendErrors/NetOverflows count the TCP
 	// fabric's message traffic (internal/net): frames written, frames
 	// dispatched after decode, sends that surfaced a socket error

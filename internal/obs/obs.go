@@ -1,7 +1,7 @@
 // Package obs is the unified counter registry of the observability
 // subsystem (DESIGN.md §13). Components that count things — protocol
 // retransmissions, duplicate suppressions, stale-release refusals,
-// freeze events, reclaimed reservations, live-runtime inbox overflows —
+// freeze events, reclaimed reservations, TCP endpoint inbox overflows —
 // own a zero-value-usable Counter and register it under a canonical
 // dotted name. A Registry aggregates every registered instance of a
 // name into one Snapshot, and Snapshots carry the only merge primitives
@@ -13,7 +13,7 @@
 // appear in every snapshot, every merge, and every report.
 //
 // Counters are monotonic and atomic, so a single instance may be shared
-// by the live runtime's timer goroutines; the simulator's
+// by the TCP runtime's read loops and timer goroutines; the simulator's
 // single-threaded use pays only the uncontended cost.
 package obs
 

@@ -61,9 +61,9 @@ func TestRegistryRejectsDoubleRegistration(t *testing.T) {
 
 func TestSnapshotRegisteredButIdleIsZero(t *testing.T) {
 	r := NewRegistry()
-	r.Register("live.overflows", &Counter{})
+	r.Register("pkg.idle", &Counter{})
 	got := r.Snapshot()
-	if v, ok := got["live.overflows"]; !ok || v != 0 {
+	if v, ok := got["pkg.idle"]; !ok || v != 0 {
 		t.Fatalf("idle counter missing or nonzero: %v", got)
 	}
 }

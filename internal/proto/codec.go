@@ -19,9 +19,8 @@ import (
 // This file is the wire codec of the networked fabric: a versioned,
 // length-prefixed binary framing that round-trips every protocol and
 // control message exactly (Decode(Encode(m)) == m, property-tested in
-// codec_test.go). The simulator and the in-process live runtime pass
-// Msg values by pointer and never touch it; internal/net frames every
-// TCP write with it.
+// codec_test.go). The simulator passes Msg values by pointer and never
+// touches it; internal/net frames every TCP write with it.
 //
 // Frame layout (all integers big-endian):
 //

@@ -8,9 +8,8 @@ type Sink interface {
 	OnMsg(from radio.NodeID, m Msg)
 }
 
-// Dispatch is the shared receive plumbing of every runtime (sim cluster,
-// in-process live, TCP fabric), extracted so the three do not each carry
-// a copy:
+// Dispatch is the shared receive plumbing of both runtimes (sim cluster,
+// TCP fabric), extracted so the two do not each carry a copy:
 //
 //   - it peels the Sequenced envelope and drops retransmitted or
 //     fault-duplicated deliveries through the node's Dedup window before

@@ -2,8 +2,8 @@
 // formation negotiation (Section 4.2): the message types exchanged
 // between the Negotiation Organizer and the QoS Providers, and the
 // transport/timer abstractions that let the same state machines run on
-// the discrete-event simulator (internal/sim + internal/radio) and on the
-// live goroutine runtime (internal/live).
+// the discrete-event simulator (internal/sim + internal/radio) and on
+// real TCP sockets (internal/net).
 package proto
 
 import (
@@ -190,15 +190,14 @@ func (m *Dissolve) WireSize() int { return 24 + len(m.Reason) }
 func (m *Dissolve) Kind() string { return "dissolve" }
 
 // Transport lets a protocol entity send messages. One vocabulary serves
-// three runtimes: the simulated radio medium (internal/core over
-// internal/radio), the in-process goroutine runtime (internal/live), and
-// real TCP sockets (internal/net).
+// two runtimes: the simulated radio medium (internal/core over
+// internal/radio) and real TCP sockets (internal/net).
 //
 // Send and Broadcast return an error when the transport *knows* the
 // message did not go out — a dial failure, a broken or deadline-expired
 // socket. Modeled radio loss (out of range, LossProb, a full inbox) is
 // not an error: it is the lossy medium the protocol is designed for, so
-// the sim and live transports always return nil. Callers treat errors
+// the sim transport always returns nil. Callers treat errors
 // as advisory — the negotiation is loss-tolerant by construction and
 // the reliability layer (Reliable) retries a failed send on any
 // transport — but the TCP path surfaces them into the obs counters
@@ -222,7 +221,7 @@ type Transport interface {
 
 // Network extends Transport with the explicit link lifecycle of
 // deployments whose connections are real operating-system resources.
-// In-process transports are born connected and never implement it; the
+// The simulated medium is born connected and does not implement it; the
 // TCP fabric (internal/net) does.
 type Network interface {
 	Transport
@@ -235,7 +234,7 @@ type Network interface {
 }
 
 // Timers schedules callbacks in the entity's time base (virtual seconds
-// on the simulator, scaled wall-clock on the live runtime).
+// on the simulator, scaled wall-clock on the TCP runtime).
 type Timers interface {
 	Now() float64
 	After(d float64, fn func())

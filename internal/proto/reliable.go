@@ -25,7 +25,7 @@ import (
 //     fault-injected duplicates collapse to one effective delivery.
 //
 // When a frame is retransmitted depends on what the link can tell the
-// sender. A best-effort link (the simulated radio, internal/live) tells
+// sender. A best-effort link (the simulated radio is the only one) tells
 // it nothing, so every frame is retransmitted blindly on the schedule
 // and the overhead is a fixed small factor. A connection-oriented link
 // (internal/net, the Connected capability) loses a frame only with its
@@ -138,8 +138,8 @@ func Retriable(m Msg) bool {
 // stronger contract than Transport's: frames to a peer arrive in order,
 // none is lost while the connection to that peer is up, and every
 // connection that went down is reported. Reliable looks for it once, when
-// it is built; internal/net's Endpoint has it, the simulated radio and
-// internal/live do not.
+// it is built; internal/net's Endpoint has it, the simulated radio does
+// not.
 type Connected interface {
 	// NotifyPeerDown registers the function the transport calls — from its
 	// own goroutines, holding none of its locks — each time an established
@@ -151,7 +151,7 @@ type Connected interface {
 // Reliable decorates a Transport with bounded retransmission of
 // sequenced messages: blind on a best-effort transport, on evidence of
 // loss on a Connected one. Sequence allocation and the retry counter are
-// atomic so the live runtime's timer goroutines can share one per node;
+// atomic so the TCP runtime's timer goroutines can share one per node;
 // the simulator's single-threaded use pays only the uncontended cost.
 type Reliable struct {
 	inner Transport

@@ -99,8 +99,8 @@ type Handler func(from NodeID, msg any)
 
 // Link is the transport-independent description of one node's radio
 // parameters: where it is and how it is heard. It is the unit of the
-// link model shared by the simulated medium, the in-process live
-// runtime, and the TCP fabric's peer directory (internal/net), so that
+// link model shared by the simulated medium and the TCP fabric's peer
+// directory (internal/net), so that
 // reachability and communication cost evaluate bit-identically on every
 // runtime — a node's Hello registration on the networked fabric carries
 // exactly these fields.

@@ -44,7 +44,7 @@ func (e Event) String() string {
 }
 
 // Tracer receives events. Implementations must be safe for concurrent
-// use: the live runtime emits from many goroutines.
+// use: the TCP runtime emits from many goroutines.
 type Tracer interface {
 	Emit(e Event)
 }

@@ -13,8 +13,8 @@ import (
 
 // The interop scenario E10 and E28 share (internal/net's scenario
 // helpers): six profiled nodes on a 10 m grid negotiating a three-task
-// stream. E10 runs it on the goroutine runtime, E28 over real TCP
-// loopback sockets, both against the simulator.
+// stream, over real TCP loopback sockets and against the simulator. E10
+// runs the bare protocol, E28 the hardened one, with a daemon crash.
 const (
 	interopTotal = 6
 	interopTasks = 3
@@ -24,8 +24,9 @@ const (
 
 // e28Fleet boots the interop fabric in-process: daemons 1..total-1
 // listening on ephemeral loopback ports, plus the dial-only organizer
-// node 0, fully connected to every daemon before it returns.
-func e28Fleet() (org *qnet.Node, daemons []*qnet.Node, err error) {
+// node 0, fully connected to every daemon before it returns. Every node
+// runs the reliability layer retry configures.
+func e28Fleet(retry proto.RetryConfig) (org *qnet.Node, daemons []*qnet.Node, err error) {
 	closeAll := func() {
 		for _, d := range daemons {
 			d.Close()
@@ -38,7 +39,7 @@ func e28Fleet() (org *qnet.Node, daemons []*qnet.Node, err error) {
 		d := qnet.NewNode(qnet.NodeConfig{
 			Endpoint: qnet.InteropEndpointConfig(radio.NodeID(i), interopTotal, "127.0.0.1:0", e28TimeScale),
 			Provider: core.DefaultProviderConfig,
-			Retry:    proto.DefaultRetryConfig,
+			Retry:    retry,
 		})
 		if err := d.Start(); err != nil {
 			closeAll()
@@ -49,7 +50,7 @@ func e28Fleet() (org *qnet.Node, daemons []*qnet.Node, err error) {
 	org = qnet.NewNode(qnet.NodeConfig{
 		Endpoint: qnet.InteropEndpointConfig(0, interopTotal, "", e28TimeScale),
 		Provider: core.DefaultProviderConfig,
-		Retry:    proto.DefaultRetryConfig,
+		Retry:    retry,
 	})
 	if err := org.Start(); err != nil {
 		closeAll()
@@ -64,15 +65,16 @@ func e28Fleet() (org *qnet.Node, daemons []*qnet.Node, err error) {
 	return org, daemons, nil
 }
 
-// e28Run negotiates the interop service over the TCP fabric. kill, when
+// e28Run negotiates the interop service over the TCP fabric, with the
+// reliability layer retry configures (E10 runs it off). kill, when
 // >= 1, closes that daemon a tenth of a virtual second into the
 // negotiation — mid proposal window — simulating a daemon crash; the
 // formation must still complete via the protocol's renegotiation and
 // the reliability layer's timeouts. After formation the coalition is
 // dissolved and every surviving daemon's ledger must drain back to full
 // capacity; the returned ledgersEmpty reports whether they all did.
-func e28Run(kill radio.NodeID) (res *core.Result, ledgersEmpty bool, err error) {
-	org, daemons, err := e28Fleet()
+func e28Run(kill radio.NodeID, retry proto.RetryConfig) (res *core.Result, ledgersEmpty bool, err error) {
+	org, daemons, err := e28Fleet(retry)
 	if err != nil {
 		return nil, false, err
 	}
@@ -102,7 +104,7 @@ func e28Run(kill radio.NodeID) (res *core.Result, ledgersEmpty bool, err error) 
 	select {
 	case res = <-ch:
 	case <-time.After(60 * time.Second):
-		return nil, false, fmt.Errorf("xp: e28 TCP formation timed out")
+		return nil, false, fmt.Errorf("xp: interop TCP formation timed out")
 	}
 
 	o.Dissolve("e28 done")
@@ -157,7 +159,7 @@ func e28KillTarget(sim *core.Result) radio.NodeID {
 // allocations. A second variant kills the coalition's strongest daemon
 // mid-negotiation and requires the formation to complete anyway via
 // renegotiation, with every surviving ledger ending exactly empty.
-// Like E10, the networked half races goroutines and real sockets
+// Like E10's, the networked half races goroutines and real sockets
 // against scaled wall-clock timers, so its rows are not guaranteed
 // bit-identical across runs.
 func E28InteropTCP(cfg Config) (*metrics.Table, error) {
@@ -172,7 +174,7 @@ func E28InteropTCP(cfg Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tcpRes, clean, err := e28Run(0)
+		tcpRes, clean, err := e28Run(0, proto.DefaultRetryConfig)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +183,7 @@ func E28InteropTCP(cfg Config) (*metrics.Table, error) {
 			same = 1
 		}
 		kill := e28KillTarget(simRes)
-		killRes, killEmpty, err := e28Run(kill)
+		killRes, killEmpty, err := e28Run(kill, proto.DefaultRetryConfig)
 		if err != nil {
 			return nil, err
 		}

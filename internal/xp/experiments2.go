@@ -4,11 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/live"
 	"repro/internal/metrics"
 	qnet "repro/internal/net"
+	"repro/internal/proto"
 	"repro/internal/qos"
-	"repro/internal/radio"
 	"repro/internal/workload"
 )
 
@@ -319,38 +318,40 @@ func lexCompare(a, b qos.Assignment) int {
 	return 0
 }
 
-// E10LiveVsSim runs the identical neighbourhood and service through the
-// discrete-event simulator and the goroutine runtime and compares the
-// resulting allocations. The live half schedules real goroutines against
-// scaled wall-clock timers, so — uniquely in the suite — its rows are
-// not guaranteed bit-identical across runs.
-func E10LiveVsSim(cfg Config) (*metrics.Table, error) {
-	t := metrics.NewTable("E10 live goroutine runtime vs simulator",
-		"trial", "sim-members", "live-members", "same-assignment", "sim-dist", "live-dist")
+// E10NetVsSim runs the identical neighbourhood and service through the
+// discrete-event simulator and the bare two-round protocol — the
+// reliability layer off, as on the simulator — between in-process
+// daemons on TCP loopback sockets, and compares the resulting
+// allocations. E28 is the same comparison with the hardened protocol
+// and a daemon crash. The networked half races goroutines and real
+// sockets against scaled wall-clock timers, so its rows are not
+// guaranteed bit-identical across runs.
+func E10NetVsSim(cfg Config) (*metrics.Table, error) {
+	t := metrics.NewTable("E10 bare protocol over TCP sockets vs simulator",
+		"trial", "sim-members", "net-members", "same-assignment", "sim-dist", "net-dist")
 	reps := repeats(cfg)
-	// The live half races real goroutines against scaled wall-clock
-	// timers; running replications concurrently would contend for CPU
-	// and time them out, so this experiment always runs sequentially.
+	// Real sockets and scaled wall-clock timers: replications must not
+	// contend for CPU, so this experiment always runs sequentially.
 	cfg.Parallel = 1
 	acc, err := sweep(cfg, reps, []int{0}, func(_ int, rep Rep) ([]float64, error) {
 		simRes, err := qnet.InteropSim(rep.Seed, interopTotal, interopTasks, interopScale)
 		if err != nil {
 			return nil, err
 		}
-		liveRes, err := e10Live(rep.Seed)
+		netRes, _, err := e28Run(0, proto.RetryConfig{})
 		if err != nil {
 			return nil, err
 		}
 		same := 0.0
-		if qnet.SameAssignment(simRes, liveRes) {
+		if qnet.SameAssignment(simRes, netRes) {
 			same = 1
 		}
 		return []float64{
 			float64(len(simRes.Members())),
-			float64(len(liveRes.Members())),
+			float64(len(netRes.Members())),
 			same,
 			simRes.MeanDistance(),
-			liveRes.MeanDistance(),
+			netRes.MeanDistance(),
 		}, nil
 	})
 	if err != nil {
@@ -367,41 +368,4 @@ func E10LiveVsSim(cfg Config) (*metrics.Table, error) {
 	}
 	t.Note("deterministic 6-node neighbourhood; %d/%d identical allocations", matches, reps)
 	return t, nil
-}
-
-func e10Live(seed int64) (*core.Result, error) {
-	rt := live.NewRuntime(live.Config{TimeScale: 0.02, Provider: core.DefaultProviderConfig})
-	defer rt.Shutdown()
-	for i := 0; i < interopTotal; i++ {
-		p := qnet.InteropProfile(i)
-		pos := core.GridPlacement(i, interopTotal, qnet.InteropSpacing)
-		if _, err := rt.AddNode(radio.NodeID(i), radio.Pos(pos), p.RangeM, p.Bitrate, p.Capacity); err != nil {
-			return nil, err
-		}
-	}
-	svc := qnet.InteropService(interopTasks, interopScale)
-	ch := make(chan *core.Result, 4)
-	n0 := rt.Node(0)
-	o, err := n0.Submit(svc, core.DefaultOrganizerConfig, func(r *core.Result) {
-		select {
-		case ch <- r:
-		default:
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The negotiation needs ProposalWait+AckWait per round; wait out a
-	// generous multiple in scaled wall time.
-	deadline := 200 // x 50ms virtual => 10s virtual
-	for i := 0; i < deadline; i++ {
-		select {
-		case r := <-ch:
-			o.Dissolve("e10 done")
-			return r, n0.Retire(svc.ID)
-		default:
-			rt.VirtualSleep(0.05)
-		}
-	}
-	return nil, fmt.Errorf("xp: e10 live formation timed out")
 }

@@ -23,9 +23,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden ex
 var goldenCfg = Config{Seed: 1, Repeats: 2, Quick: true, Parallel: 4}
 
 // TestGoldenTables pins the rendered table of every experiment against
-// testdata/golden/<ID>.txt. E10 and E28 are excluded: their live/TCP
-// halves race real goroutines (and sockets) against scaled wall-clock
-// timers and are documented as not bit-stable across runs.
+// testdata/golden/<ID>.txt. E10 and E28 are excluded: their TCP halves
+// race real goroutines and sockets against scaled wall-clock timers and
+// are documented as not bit-stable across runs.
 func TestGoldenTables(t *testing.T) {
 	for _, e := range All() {
 		if e.ID == "E10" || e.ID == "E28" {

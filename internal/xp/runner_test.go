@@ -68,9 +68,9 @@ func TestSweepSeedsAndRngPerReplication(t *testing.T) {
 // TestSweepDeterminismAcrossParallelism is the tentpole's contract: every
 // experiment table is byte-identical whether its replications run
 // sequentially or across 4 or 8 workers. E10 and E28 are excluded
-// because they schedule real goroutines (and, for E28, real sockets)
-// against wall-clock timers and are not guaranteed reproducible even
-// run-to-run at a fixed parallelism.
+// because they schedule real goroutines and sockets against wall-clock
+// timers and are not guaranteed reproducible even run-to-run at a fixed
+// parallelism.
 func TestSweepDeterminismAcrossParallelism(t *testing.T) {
 	for _, e := range All() {
 		if e.ID == "E10" || e.ID == "E28" {

@@ -84,8 +84,8 @@ func All() []Experiment {
 			Claim: "weak devices offload to nearby more powerful nodes (S1/S2)", Run: E8Heterogeneity},
 		{ID: "E9", Title: "Evaluation-function consistency",
 			Claim: "lower distance always means closer to the preference order (S6)", Run: E9DistanceConsistency},
-		{ID: "E10", Title: "Live goroutine runtime vs simulator",
-			Claim: "the protocol is runtime-independent (engineering validation)", Run: E10LiveVsSim},
+		{ID: "E10", Title: "Bare protocol over TCP sockets vs simulator",
+			Claim: "the protocol is runtime-independent (engineering validation)", Run: E10NetVsSim},
 		{ID: "E11", Title: "Formation and operation under mobility",
 			Claim: "coalitions survive nodes moving in and out of range (S1)", Run: E11MobilityStress},
 		{ID: "E12", Title: "Negotiation under packet loss",
