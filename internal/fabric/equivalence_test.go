@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -18,6 +20,13 @@ import (
 // cross-width or cross-path diff. The churn + adaptation configuration
 // drives the deepest event interleavings (kills, repairs, reboots racing
 // departures) through both paths.
+// cityReference holds the reference loop's city-wide Stats for the
+// scenario below, as "%+v" (shortest round-trip floats, sorted map
+// keys): equal text means bit-equal Stats.
+const cityReference = "testdata/pathwidth-city.txt"
+
+var update = flag.Bool("update", false, "rewrite "+cityReference+" (deliberate re-pins only)")
+
 func TestPathWidthEquivalence(t *testing.T) {
 	build := func(slow bool, parallel int) Config {
 		cfg := testConfig(parallel)
@@ -41,6 +50,21 @@ func TestPathWidthEquivalence(t *testing.T) {
 	}
 	if ref.City.Arrivals == 0 || ref.City.NodeLeaves == 0 {
 		t.Fatalf("degenerate reference run: %+v", ref.City)
+	}
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(cityReference, []byte(fmt.Sprintf("%+v\n", ref.City)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(cityReference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%+v\n", ref.City); got != string(want) {
+		t.Fatalf("city diverges from the recorded reference answer\n got:  %s want: %s", got, want)
 	}
 	for _, slow := range []bool{false, true} {
 		for _, parallel := range []int{1, 8} {

@@ -68,6 +68,7 @@ func TestPolicyFastSlowEquivalence(t *testing.T) {
 		}
 		fast, errF := run(false)
 		slow, errS := run(true)
+		checkReference(t, "policy="+pol.String()+" "+s.String(), statsAnswer(slow, errS))
 		if (errF == nil) != (errS == nil) {
 			t.Fatalf("%v policy=%s: one path errored: fast=%v slow=%v", s, pol, errF, errS)
 		}
@@ -126,6 +127,7 @@ func TestQueueDeterminism(t *testing.T) {
 			t.Fatalf("%s: traced run recorded nothing", pol)
 		}
 		_, trSlow := admitJSONL(t, pol, true)
+		checkReference(t, "queue-trace policy="+pol.String(), traceAnswer(trSlow))
 		if tr1 != trSlow {
 			t.Fatalf("%s: fast and slow path traces differ", pol)
 		}

@@ -201,6 +201,7 @@ func TestChaosFastSlowEquivalence(t *testing.T) {
 		return st
 	}
 	fast, slowSt := run(false), run(true)
+	checkReference(t, "chaos seed=7 nodes=12 horizon=600 plan=full", statsAnswer(slowSt, nil))
 	if !reflect.DeepEqual(fast, slowSt) {
 		t.Fatalf("fast and slow paths diverged under faults:\nfast %+v\nslow %+v", fast, slowSt)
 	}

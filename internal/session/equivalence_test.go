@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/adapt"
@@ -170,6 +171,7 @@ func TestFastSlowEquivalence(t *testing.T) {
 			Churn:   rng.Intn(2) == 1,
 			Adapt:   rng.Intn(4),
 		}
+		checkReference(t, "equivalence "+s.String(), statsAnswer(s.run(t, true)))
 		fast, _, bad := s.mismatch(t)
 		if bad {
 			min := s.shrink(t)
@@ -260,10 +262,17 @@ func FuzzSlotTable(f *testing.F) {
 // reboot / retire interleavings the hand-written tests never reach are
 // explored mechanically.
 func FuzzOpenSystemLifecycle(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(128), uint8(0), uint8(0))
-	f.Add(int64(7), uint8(0), uint8(255), uint8(1), uint8(1))
-	f.Add(int64(42), uint8(7), uint8(64), uint8(3), uint8(3))
+	type input struct {
+		seed                          int64
+		nodesB, rateB, churnB, adaptB uint8
+	}
+	seeds := []input{{1, 4, 128, 0, 0}, {7, 0, 255, 1, 1}, {42, 7, 64, 3, 3}}
+	for _, in := range seeds {
+		f.Add(in.seed, in.nodesB, in.rateB, in.churnB, in.adaptB)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, nodesB, rateB, churnB, adaptB uint8) {
+		// Only the seed inputs have recorded reference answers.
+		recorded := slices.Contains(seeds, input{seed, nodesB, rateB, churnB, adaptB})
 		s := scenario{
 			Seed:    seed & 0xffff,
 			Nodes:   8 + int(nodesB%8),
@@ -321,6 +330,9 @@ func FuzzOpenSystemLifecycle(f *testing.F) {
 		}
 		if !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("%v: pooled path diverged from reference:\n fast: %+v\n slow: %+v", s, fast, slow)
+		}
+		if recorded {
+			checkReference(t, "lifecycle "+s.String(), statsAnswer(slow, nil))
 		}
 	})
 }

@@ -2,6 +2,10 @@ package xp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -24,6 +28,12 @@ func tracedChaosJSONL(t *testing.T, parallel int, slow bool) string {
 	}
 	return buf.String()
 }
+
+// e26TraceReference holds the SHA-256 and event count of the trace the
+// reference session loop recorded for the quick E26 sweep.
+const e26TraceReference = "testdata/e26-trace.txt"
+
+var update = flag.Bool("update", false, "rewrite "+e26TraceReference+" (deliberate re-pins only)")
 
 // TestChaosTraceDeterminism pins the flight recorder's reproducibility
 // contract: a same-seed chaos run emits byte-identical JSONL traces no
@@ -54,8 +64,22 @@ func TestChaosTraceDeterminism(t *testing.T) {
 	if par := tracedChaosJSONL(t, 8, false); par != base {
 		t.Error("parallel 8 trace differs from sequential trace")
 	}
-	if slow := tracedChaosJSONL(t, 1, true); slow != base {
+	slow := tracedChaosJSONL(t, 1, true)
+	if slow != base {
 		t.Error("slow-path trace differs from fast-path trace")
+	}
+	got := fmt.Sprintf("sha256=%x events=%d\n", sha256.Sum256([]byte(slow)), strings.Count(slow, "\n"))
+	if *update {
+		if err := os.WriteFile(e26TraceReference, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(e26TraceReference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("E26 trace diverges from the recorded reference answer\n got:  %s want: %s", got, want)
 	}
 }
 
