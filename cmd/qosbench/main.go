@@ -23,8 +23,8 @@
 //	-trace-out FILE   collect every replication's flight-recorder
 //	                  events (experiments that support tracing) into a
 //	                  journal and write it as JSONL; the bytes are
-//	                  identical at any -parallel width and with
-//	                  -slowpath (scripts/determinism.sh diffs them)
+//	                  identical at any -parallel width
+//	                  (scripts/determinism.sh diffs them)
 //	-store FILE       append the run's experiment metrics to the
 //	                  results-store JSONL (rendered by cmd/qostrend)
 //	-cpuprofile FILE  write a pprof CPU profile of the suite run
@@ -56,7 +56,6 @@ type options struct {
 	run      string
 	parallel int
 	jsonPath string
-	slowpath bool
 
 	traceOut   string
 	storePath  string
@@ -78,7 +77,6 @@ func parseFlags(args []string, errw io.Writer) (*options, error) {
 	fs.StringVar(&o.run, "run", "", "comma-separated experiment IDs (default: all)")
 	fs.IntVar(&o.parallel, "parallel", runtime.NumCPU(), "worker-pool width for replications (1 = sequential; output is identical at any width)")
 	fs.StringVar(&o.jsonPath, "json", "", "write a JSON results document to FILE (\"-\" = stdout, suppressing the text tables)")
-	fs.BoolVar(&o.slowpath, "slowpath", false, "drive the open-system experiments on the reference (unpooled) session loop; tables are bit-identical to the default fast path")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the suite's flight-recorder trace as JSONL to FILE")
 	fs.StringVar(&o.storePath, "store", "", "append experiment metrics to the results-store JSONL at FILE")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to FILE")
@@ -124,7 +122,7 @@ func selectExperiments(run string) ([]xp.Experiment, error) {
 // switches the flight recorder on: every experiment records under its
 // own ID as the scope group.
 func runSuite(o *options, exps []xp.Experiment, journal *trace.Journal, out, errw io.Writer) (*metrics.Results, int) {
-	cfg := xp.Config{Seed: o.seed, Repeats: o.repeats, Quick: o.quick, Parallel: o.parallel, SlowPath: o.slowpath}
+	cfg := xp.Config{Seed: o.seed, Repeats: o.repeats, Quick: o.quick, Parallel: o.parallel}
 	cfg.Trace = journal
 	res := metrics.NewResults("qosbench", map[string]any{
 		"seed": o.seed, "repeats": o.repeats, "quick": o.quick,

@@ -108,15 +108,14 @@ type options struct {
 	compare   bool
 	timeScale float64
 
-	open     bool
-	rate     float64
-	hold     float64
-	horizon  float64
-	churn    float64
-	adapt    string
-	admit    string
-	slowpath bool
-	faults   bool
+	open    bool
+	rate    float64
+	hold    float64
+	horizon float64
+	churn   float64
+	adapt   string
+	admit   string
+	faults  bool
 
 	traceOut   string
 	storePath  string
@@ -149,7 +148,6 @@ func parseFlags(args []string, errw io.Writer) (*options, error) {
 	fs.Float64Var(&o.churn, "churn", 0, "open mode: node leaves per hour (0 = no churn)")
 	fs.StringVar(&o.adapt, "adapt", "off", "open mode: mid-session QoS adaptation: off | kill | migrate | degrade")
 	fs.StringVar(&o.admit, "admit", "block", "open mode: admission policy for blocked arrivals: block | queue | yield")
-	fs.BoolVar(&o.slowpath, "slowpath", false, "open mode: drive the reference (unpooled) session loop; output is bit-identical to the default fast path")
 	fs.BoolVar(&o.faults, "faults", false, "open mode: inject the representative deterministic fault plan with the reliability layer on")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the flight-recorder trace as JSONL to FILE")
 	fs.StringVar(&o.storePath, "store", "", "open mode: append headline metrics to the results-store JSONL at FILE")
@@ -196,7 +194,6 @@ func runOpen(o *options, out io.Writer) error {
 		Horizon:    o.horizon,
 		Warmup:     o.horizon / 10,
 		Organizer:  ocfg,
-		SlowPath:   o.slowpath,
 	}
 	if o.churn > 0 {
 		cfg.Churn = &session.ChurnConfig{

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -144,6 +145,69 @@ func TestReconfigurationAfterFailure(t *testing.T) {
 			t.Errorf("task %s still assigned to failed node %d", tid, victim)
 		}
 	}
+}
+
+// TestAssignedDistanceSumMatchesSnapshot pins the allocation-free
+// accessor the session engine's sampling tick reads against the
+// Snapshot it replaced: the assigned-task count equals the snapshot's
+// size and the distance sum equals the snapshot's distances added in
+// task declaration order, to the last bit — after formation, after a
+// member loss and the reconfiguration around it, and after dissolution.
+func TestAssignedDistanceSumMatchesSnapshot(t *testing.T) {
+	// Six nodes and a heavy stream: some tasks must run degraded, so the
+	// sum adds several nonzero distances.
+	cl := buildCluster(t, 6)
+	svc := workload.StreamService("stream", 4, 3.0)
+	var first *core.Result
+	org, err := cl.Submit(0, 0, svc, core.DefaultOrganizerConfig, func(r *core.Result) {
+		if first == nil {
+			first = r
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) float64 {
+		t.Helper()
+		snap := org.Snapshot()
+		var want float64
+		for _, tk := range org.Service().Tasks {
+			if a, ok := snap[tk.ID]; ok {
+				want += a.Distance
+			}
+		}
+		n, sum := org.AssignedDistanceSum()
+		if n != len(snap) || math.Float64bits(sum) != math.Float64bits(want) {
+			t.Fatalf("%s: AssignedDistanceSum = (%d, %v), Snapshot gives (%d, %v)", stage, n, sum, len(snap), want)
+		}
+		return sum
+	}
+	cl.Run(3)
+	if first == nil || !first.Complete() {
+		t.Fatalf("initial formation failed: %+v", first)
+	}
+	if check("formed") == 0 {
+		t.Fatal("every task runs at its preferred level; the sum pins nothing")
+	}
+	var victim radio.NodeID = -1
+	for _, a := range first.Assigned {
+		if a.Node != 0 {
+			victim = a.Node
+			break
+		}
+	}
+	if victim == -1 {
+		t.Fatal("every task ran on the organizer; no member to lose")
+	}
+	cl.Eng.At(3, func() { cl.FailNode(victim) })
+	cl.Run(20)
+	if org.Reconfigurations == 0 {
+		t.Fatal("organizer never reconfigured")
+	}
+	check("reconfigured")
+	org.Dissolve("test done")
+	cl.Run(25)
+	check("dissolved")
 }
 
 func TestBatteryDepletionFailsNode(t *testing.T) {

@@ -10,27 +10,27 @@ import (
 	"repro/internal/adapt"
 )
 
-// TestPathWidthEquivalence crosses the session engine's two
-// implementations with the shard pool's width: the pooled fast path and
-// the retained reference loop, each at parallel 1 and 8, must produce
-// the same Result to the last bit — every shard's stats and the merged
-// city view. This is the fabric-level face of the equivalence harness
-// in internal/session: shards exercise slot recycling concurrently, so
-// a pooled object escaping one shard's engine would show up here as a
-// cross-width or cross-path diff. The churn + adaptation configuration
-// drives the deepest event interleavings (kills, repairs, reboots racing
-// departures) through both paths.
-// cityReference holds the reference loop's city-wide Stats for the
-// scenario below, as "%+v" (shortest round-trip floats, sorted map
-// keys): equal text means bit-equal Stats.
+// cityReference holds the city-wide Stats the engine's former
+// reference session loop (an unpooled copy of the loop, since deleted)
+// returned for the scenario below, as "%+v" (shortest round-trip
+// floats, sorted map keys): equal text means bit-equal Stats.
 const cityReference = "testdata/pathwidth-city.txt"
 
-var update = flag.Bool("update", false, "rewrite "+cityReference+" (deliberate re-pins only)")
+var update = flag.Bool("update", false, "rewrite "+cityReference+" from the current loop (deliberate re-pins only)")
 
+// TestPathWidthEquivalence crosses the shard pool's width with the
+// session engine's recorded reference answer: at parallel 1 and 8 the
+// Result must be the same to the last bit — every shard's stats and the
+// merged city view — and the city must match the reference loop's
+// recorded answer. This is the fabric-level face of the equivalence
+// harness in internal/session: shards exercise slot recycling
+// concurrently, so a pooled object escaping one shard's engine would
+// show up here as a cross-width or reference diff. The churn +
+// adaptation configuration drives the deepest event interleavings
+// (kills, repairs, reboots racing departures).
 func TestPathWidthEquivalence(t *testing.T) {
-	build := func(slow bool, parallel int) Config {
+	build := func(parallel int) Config {
 		cfg := testConfig(parallel)
-		cfg.SlowPath = slow
 		cfg.ChurnPerHour, cfg.ChurnDownMean = 240, 20
 		ocfg := cfg.Organizer
 		ocfg.Monitor = false
@@ -44,18 +44,16 @@ func TestPathWidthEquivalence(t *testing.T) {
 		}
 		return cfg
 	}
-	ref, err := Run(build(true, 1))
+	ref, err := Run(build(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.City.Arrivals == 0 || ref.City.NodeLeaves == 0 {
-		t.Fatalf("degenerate reference run: %+v", ref.City)
+		t.Fatalf("degenerate run: %+v", ref.City)
 	}
+	got := fmt.Sprintf("%+v\n", ref.City)
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(cityReference, []byte(fmt.Sprintf("%+v\n", ref.City)), 0o644); err != nil {
+		if err := os.WriteFile(cityReference, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,20 +61,14 @@ func TestPathWidthEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%+v\n", ref.City); got != string(want) {
+	if got != string(want) {
 		t.Fatalf("city diverges from the recorded reference answer\n got:  %s want: %s", got, want)
 	}
-	for _, slow := range []bool{false, true} {
-		for _, parallel := range []int{1, 8} {
-			name := fmt.Sprintf("slow=%v/parallel=%d", slow, parallel)
-			got, err := Run(build(slow, parallel))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("%s diverged from the sequential reference loop:\n ref: %+v\n got: %+v",
-					name, ref.City, got.City)
-			}
-		}
+	wide, err := Run(build(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref, wide) {
+		t.Fatalf("parallel 8 diverged from parallel 1:\n p1: %+v\n p8: %+v", ref.City, wide.City)
 	}
 }

@@ -42,9 +42,6 @@ type Config struct {
 	// Parallel is the worker-pool width shards fan out over (<= 1 runs
 	// them sequentially). Results are identical at every width.
 	Parallel int
-	// SlowPath drives every shard on the retained reference session loop
-	// instead of the pooled fast path; stats are bit-identical either way.
-	SlowPath bool
 	// Seed is the city's base seed; shard s uses shardSeed(Seed, s) —
 	// a splitmix64 hash — for both its neighbourhood generation and
 	// its session lifecycle streams.
@@ -149,7 +146,6 @@ func runShard(cfg Config, shard int) (*session.Stats, error) {
 		Organizer:  cfg.Organizer,
 		Adapt:      cfg.Adapt,
 		Admission:  cfg.Admission,
-		SlowPath:   cfg.SlowPath,
 	}
 	if cfg.ChurnPerHour > 0 {
 		scfg.Churn = &session.ChurnConfig{

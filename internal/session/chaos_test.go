@@ -43,7 +43,7 @@ func fullPlan() faults.Plan {
 
 // chaosConfig assembles the hardened-session configuration over a
 // fresh injector for the given plan.
-func chaosConfig(t *testing.T, cl *core.Cluster, seed int64, horizon float64, plan faults.Plan, slow bool) Config {
+func chaosConfig(t *testing.T, cl *core.Cluster, seed int64, horizon float64, plan faults.Plan) Config {
 	t.Helper()
 	inj, err := faults.New(seed, horizon, cl.Nodes(), plan)
 	if err != nil {
@@ -63,7 +63,6 @@ func chaosConfig(t *testing.T, cl *core.Cluster, seed int64, horizon float64, pl
 		Adapt:          &adapt.Config{OnChurn: adapt.DegradeToFit},
 		Faults:         inj,
 		ReconcileEvery: 5,
-		SlowPath:       slow,
 	}
 }
 
@@ -74,7 +73,7 @@ func chaosConfig(t *testing.T, cl *core.Cluster, seed int64, horizon float64, pl
 // drain every provider ledger is empty with reserved == 0 exactly.
 func TestChaosLeakGuard(t *testing.T) {
 	cl := chaosCluster(t, 7, 12)
-	eng, err := New(cl, chaosConfig(t, cl, 7, 900, fullPlan(), false), 7)
+	eng, err := New(cl, chaosConfig(t, cl, 7, 900, fullPlan()), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestChaosFreezeStrandsThenReclaims(t *testing.T) {
 		Freeze: &faults.FreezePlan{Rate: 0.05, MeanDur: 60, Protected: []radio.NodeID{0}},
 	}
 	cl := chaosCluster(t, 3, 10)
-	cfg := chaosConfig(t, cl, 3, 600, plan, false)
+	cfg := chaosConfig(t, cl, 3, 600, plan)
 	cfg.HoldMean = 15
 	eng, err := New(cl, cfg, 3)
 	if err != nil {
@@ -168,7 +167,7 @@ func TestChaosMonitorPath(t *testing.T) {
 func TestChaosDeterminism(t *testing.T) {
 	run := func() *Stats {
 		cl := chaosCluster(t, 7, 12)
-		eng, err := New(cl, chaosConfig(t, cl, 7, 600, fullPlan(), false), 7)
+		eng, err := New(cl, chaosConfig(t, cl, 7, 600, fullPlan()), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,27 +183,17 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosFastSlowEquivalence: the pooled fast path and the reference
-// slow path must stay byte-identical under a fault plan, exactly as
-// they are without one.
+// TestChaosFastSlowEquivalence: under a fault plan the pooled loop must
+// reproduce the reference loop's recorded answer bit for bit, exactly as
+// it does without one.
 func TestChaosFastSlowEquivalence(t *testing.T) {
-	run := func(slow bool) *Stats {
-		cl := chaosCluster(t, 7, 12)
-		eng, err := New(cl, chaosConfig(t, cl, 7, 600, fullPlan(), slow), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
+	cl := chaosCluster(t, 7, 12)
+	eng, err := New(cl, chaosConfig(t, cl, 7, 600, fullPlan()), 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast, slowSt := run(false), run(true)
-	checkReference(t, "chaos seed=7 nodes=12 horizon=600 plan=full", statsAnswer(slowSt, nil))
-	if !reflect.DeepEqual(fast, slowSt) {
-		t.Fatalf("fast and slow paths diverged under faults:\nfast %+v\nslow %+v", fast, slowSt)
-	}
+	st, err := eng.Run()
+	checkReference(t, "chaos seed=7 nodes=12 horizon=600 plan=full", statsAnswer(st, err))
 }
 
 // TestChaosQuorumLossAborts: a brutal plan (heavy bursts, frequent
@@ -217,7 +206,7 @@ func TestChaosQuorumLossAborts(t *testing.T) {
 		Partition: &faults.PartitionPlan{K: 3, Every: 30, Len: 15},
 	}
 	cl := chaosCluster(t, 5, 10)
-	cfg := chaosConfig(t, cl, 5, 400, plan, false)
+	cfg := chaosConfig(t, cl, 5, 400, plan)
 	eng, err := New(cl, cfg, 5)
 	if err != nil {
 		t.Fatal(err)

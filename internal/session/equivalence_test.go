@@ -14,13 +14,14 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the equivalence harness for the pooled session engine:
-// the slow path (Config.SlowPath, the pre-pooling reference loop) and
-// the pooled fast path must produce byte-identical Stats over any
-// scenario. The property test samples the scenario space at random, the
-// fuzz targets attack the slot table and the open-system lifecycle
-// directly, and the mutation test pins that recycling never aliases
-// into already-folded statistics.
+// This file is the equivalence harness for the pooled session engine.
+// The engine once kept a pre-pooling copy of its session loop as an
+// oracle; what that loop returned on each fixed scenario here is kept in
+// testdata/reference.txt (see reference_test.go), and the pooled loop
+// must reproduce every answer bit for bit. The property test samples
+// the scenario space, the fuzz targets attack the slot table and the
+// open-system lifecycle directly, and the mutation test pins that
+// recycling never aliases into already-folded statistics.
 
 // scenario is one random point of the equivalence property test's
 // input space: arrival shape x churn x adaptation policy, plus the
@@ -43,9 +44,8 @@ func (s scenario) String() string {
 		s.Seed, s.Nodes, shapes[s.Shape], s.Rate, s.Hold, s.Horizon, s.Churn, policies[s.Adapt])
 }
 
-// config assembles the session Config for one path. Both paths get the
-// identical configuration except the SlowPath switch itself.
-func (s scenario) config(slow bool) Config {
+// config assembles the scenario's session Config.
+func (s scenario) config() Config {
 	var proc arrival.Process
 	switch s.Shape {
 	case 1:
@@ -64,7 +64,6 @@ func (s scenario) config(slow bool) Config {
 		Horizon:    s.Horizon,
 		Warmup:     s.Horizon / 10,
 		Organizer:  core.DefaultOrganizerConfig,
-		SlowPath:   slow,
 	}
 	if s.Churn {
 		cfg.Churn = &ChurnConfig{Leave: arrival.Poisson{Rate: 1.0 / 45}, DownMean: 25}
@@ -85,78 +84,22 @@ func (s scenario) config(slow bool) Config {
 	return cfg
 }
 
-// run drives one path of the scenario over a freshly built cluster.
-func (s scenario) run(t *testing.T, slow bool) (*Stats, error) {
+// run drives the scenario over a freshly built cluster.
+func (s scenario) run(t *testing.T) (*Stats, error) {
 	t.Helper()
 	cl := buildCluster(t, s.Seed, s.Nodes)
-	eng, err := New(cl, s.config(slow), s.Seed)
+	eng, err := New(cl, s.config(), s.Seed)
 	if err != nil {
 		return nil, err
 	}
 	return eng.Run()
 }
 
-// mismatch reports whether the two paths of the scenario disagree.
-func (s scenario) mismatch(t *testing.T) (fast, slow *Stats, bad bool) {
-	t.Helper()
-	fast, errF := s.run(t, false)
-	slow, errS := s.run(t, true)
-	if (errF == nil) != (errS == nil) {
-		t.Fatalf("%v: one path errored: fast=%v slow=%v", s, errF, errS)
-	}
-	if errF != nil {
-		return nil, nil, false // both refused identically: equivalent
-	}
-	return fast, slow, !reflect.DeepEqual(fast, slow)
-}
-
-// shrink greedily simplifies a failing scenario one dimension at a time
-// (drop adaptation, drop churn, flatten the arrival shape, halve the
-// horizon) and returns the smallest variant that still fails, so the
-// failure report points at the narrowest reproducer.
-func (s scenario) shrink(t *testing.T) scenario {
-	t.Helper()
-	cur := s
-	for changed := true; changed; {
-		changed = false
-		var cands []scenario
-		if cur.Adapt != 0 {
-			c := cur
-			c.Adapt = 0
-			cands = append(cands, c)
-		}
-		if cur.Churn {
-			c := cur
-			c.Churn = false
-			cands = append(cands, c)
-		}
-		if cur.Shape != 0 {
-			c := cur
-			c.Shape = 0
-			cands = append(cands, c)
-		}
-		if cur.Horizon > 100 {
-			c := cur
-			c.Horizon = cur.Horizon / 2
-			cands = append(cands, c)
-		}
-		for _, c := range cands {
-			if _, _, bad := c.mismatch(t); bad {
-				cur, changed = c, true
-				break
-			}
-		}
-	}
-	return cur
-}
-
-// TestFastSlowEquivalence is the property test behind the SlowPath
-// contract: over randomized scenarios spanning every arrival shape,
-// churn on/off and every adaptation policy, the pooled fast path and
-// the reference loop produce deeply equal Stats. Failures are shrunk to
-// the smallest still-failing scenario before reporting, and every
-// scenario prints its parameters, so a red run is reproducible from the
-// log alone.
+// TestFastSlowEquivalence is the property test behind the pooled
+// loop: over seeded random scenarios spanning every arrival shape,
+// churn on/off and every adaptation policy, the Stats match the
+// reference loop's recorded answers bit for bit. Every failure names
+// its scenario, so a red run is reproducible from the log alone.
 func TestFastSlowEquivalence(t *testing.T) {
 	const cases = 12
 	rng := rand.New(rand.NewSource(20260807))
@@ -171,14 +114,9 @@ func TestFastSlowEquivalence(t *testing.T) {
 			Churn:   rng.Intn(2) == 1,
 			Adapt:   rng.Intn(4),
 		}
-		checkReference(t, "equivalence "+s.String(), statsAnswer(s.run(t, true)))
-		fast, _, bad := s.mismatch(t)
-		if bad {
-			min := s.shrink(t)
-			mf, ms, _ := min.mismatch(t)
-			t.Fatalf("fast and slow paths diverge.\n original: %v\n shrunk:   %v\n fast: %+v\n slow: %+v", s, min, mf, ms)
-		}
-		if fast != nil && fast.Arrivals == 0 && s.Rate > 0.1 {
+		st, err := s.run(t)
+		checkReference(t, "equivalence "+s.String(), statsAnswer(st, err))
+		if st != nil && st.Arrivals == 0 && s.Rate > 0.1 {
 			t.Errorf("%v: degenerate scenario, no arrivals", s)
 		}
 	}
@@ -253,11 +191,11 @@ func FuzzSlotTable(f *testing.F) {
 	})
 }
 
-// FuzzOpenSystemLifecycle drives whole randomized open-system runs on
-// the pooled path and holds them to the PR-3 leak-guard bar: after
-// every teardown no ledger entry may reference the departed session,
-// after the drain every ledger must be back at capacity, and the Stats
-// must match the reference loop bit for bit. The fuzz input picks the
+// FuzzOpenSystemLifecycle drives whole randomized open-system runs and
+// holds them to the PR-3 leak-guard bar: after every teardown no ledger
+// entry may reference the departed session, and after the drain every
+// ledger must be back at capacity. On the seed inputs the Stats must
+// also match the reference loop's recorded answers. The fuzz input picks the
 // population, load, churn and adaptation policy, so admit / dissolve /
 // reboot / retire interleavings the hand-written tests never reach are
 // explored mechanically.
@@ -284,7 +222,7 @@ func FuzzOpenSystemLifecycle(f *testing.F) {
 			Adapt:   int(adaptB) % 4,
 		}
 		cl := buildCluster(t, s.Seed, s.Nodes)
-		cfg := s.config(false)
+		cfg := s.config()
 		var eng *Engine
 		cfg.AfterDeparture = func(now float64, svcID string) {
 			if left := ledgerEntriesFor(eng.Cluster(), svcID); len(left) != 0 {
@@ -296,7 +234,7 @@ func FuzzOpenSystemLifecycle(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		fast, err := eng.Run()
+		st, err := eng.Run()
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -308,31 +246,8 @@ func FuzzOpenSystemLifecycle(f *testing.F) {
 			}
 		}
 		assertAllReleased(t, cl)
-		// The reference loop over the identical scenario must agree
-		// exactly. It carries the same leak-check hook: hook firings are
-		// engine events, so the two paths must schedule the same set for
-		// SimEvents to match.
-		clS := buildCluster(t, s.Seed, s.Nodes)
-		cfgS := s.config(true)
-		var engS *Engine
-		cfgS.AfterDeparture = func(now float64, svcID string) {
-			if left := ledgerEntriesFor(engS.Cluster(), svcID); len(left) != 0 {
-				t.Fatalf("%v: t=%.1fs: slow path leaked %s: %v", s, now, svcID, left)
-			}
-		}
-		engS, err = New(clS, cfgS, s.Seed)
-		if err != nil {
-			t.Fatalf("%v: slow path: %v", s, err)
-		}
-		slow, err := engS.Run()
-		if err != nil {
-			t.Fatalf("%v: slow path: %v", s, err)
-		}
-		if !reflect.DeepEqual(fast, slow) {
-			t.Fatalf("%v: pooled path diverged from reference:\n fast: %+v\n slow: %+v", s, fast, slow)
-		}
 		if recorded {
-			checkReference(t, "lifecycle "+s.String(), statsAnswer(slow, nil))
+			checkReference(t, "lifecycle "+s.String(), statsAnswer(st, nil))
 		}
 	})
 }
@@ -347,7 +262,7 @@ func FuzzOpenSystemLifecycle(f *testing.F) {
 func TestRecycledMutationDoesNotPerturbStats(t *testing.T) {
 	s := scenario{Seed: 11, Nodes: 12, Shape: 0, Rate: 0.2, Hold: 20, Horizon: 400, Churn: true, Adapt: 3}
 	cl := buildCluster(t, s.Seed, s.Nodes)
-	eng, err := New(cl, s.config(false), s.Seed)
+	eng, err := New(cl, s.config(), s.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

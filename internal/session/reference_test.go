@@ -11,11 +11,13 @@ import (
 )
 
 // Recorded reference answers. testdata/reference.txt holds what the
-// reference session loop returned on each fixed input the equivalence
-// tests drive, one line per comparison: a key naming the input, a tab,
-// and the answer — "%+v" of the run's Stats, or the SHA-256 and event
-// count of a flight-recorder trace. go test -update rewrites the lines;
-// use it for deliberate re-pins only, like xp's -update-golden.
+// engine's reference session loop — an unpooled copy of the loop, since
+// deleted — returned on each fixed input the equivalence tests drive,
+// one line per comparison: a key naming the input, a tab, and the
+// answer — "%+v" of the run's Stats, or the SHA-256 and event count of
+// a flight-recorder trace. go test -update rewrites the lines from the
+// current loop; use it for deliberate re-pins only, like xp's
+// -update-golden.
 var update = flag.Bool("update", false, "rewrite testdata/reference.txt (deliberate re-pins only)")
 
 const referencePath = "testdata/reference.txt"

@@ -105,18 +105,11 @@ type Config struct {
 	// Trace, when set, receives the engine's structured flight-recorder
 	// events: arrivals, admission verdicts, departures and kills, churn
 	// leaves, fault-plan freeze/thaw fates, reconciliation sweeps and
-	// adaptation passes. Every emission site sits on code shared by the
-	// fast and slow session loops, so a run's trace is byte-identical on
-	// both paths (scripts/determinism.sh diffs them). nil (the default)
-	// costs one pointer check per site — observability off is free.
+	// adaptation passes. No emission site draws randomness or changes
+	// control flow, so a run's trace is byte-identical at any worker-pool
+	// width (scripts/determinism.sh diffs them). nil (the default) costs
+	// one pointer check per site — observability off is free.
 	Trace *trace.Recorder
-	// SlowPath selects the retained reference implementation of the
-	// session loop: per-arrival session and closure allocations,
-	// closure-chained arrival/churn streams — the pre-pooling engine
-	// kept as the equivalence oracle for the pooled fast path (the
-	// default). Both paths produce byte-identical Stats over any
-	// scenario; the property tests in this package assert it.
-	SlowPath bool
 }
 
 // Stats is the steady-state outcome of a run. Counters cover sessions
@@ -260,11 +253,11 @@ func (s *Stats) ReconfigPerHour(horizon float64) float64 {
 	return float64(s.Reconfigurations) * 3600 / horizon
 }
 
-// liveSession is one operating coalition. On the fast path the record
-// doubles as a slot in the engine's pooled session table: acquired from
-// the free-list at arrival, retired (generation bumped) at teardown and
-// reused by a later arrival. The persistent onFormedFn replaces the
-// per-arrival callback closure the reference loop allocates.
+// liveSession is one operating coalition. The record doubles as a slot
+// in the engine's pooled session table: acquired from the free-list at
+// arrival, retired (generation bumped) at teardown and reused by a later
+// arrival. The persistent onFormedFn serves every formation callback of
+// every occupant, so an arrival allocates no closure.
 type liveSession struct {
 	id       string
 	node     radio.NodeID
@@ -272,9 +265,9 @@ type liveSession struct {
 	counted  bool // arrived at or after Warmup
 	departed bool
 
-	slot       int    // index in Engine.slots; -1 on the slow path
+	slot       int    // index in Engine.slots
 	gen        uint64 // bumped at retire; invalidates pooled timer records
-	formed     bool   // first-formation guard (slow path uses a closure var)
+	formed     bool   // first-formation guard of the current attempt
 	onFormedFn func(*core.Result)
 
 	// Admission-layer state, meaningful only when Config.Admission is
@@ -414,9 +407,9 @@ type Engine struct {
 	freezes   *obs.Counter
 	reclaimed *obs.Counter
 
-	// Pooled fast path (cfg.SlowPath false): the slot-indexed session
-	// table with its free-list, the pooled timer records, the persistent
-	// stream closures, and the churn-candidate scratch.
+	// The slot-indexed session table with its free-list, the pooled
+	// timer records, the persistent stream closures, and the
+	// churn-candidate scratch.
 	slots       []*liveSession
 	freeSlots   []int
 	departPool  []*departEv
@@ -544,27 +537,19 @@ func (e *Engine) Cluster() *core.Cluster { return e.cl }
 // steady-state statistics over [Warmup, Horizon].
 func (e *Engine) Run() (*Stats, error) {
 	e.sampleFn = e.sampleTick
-	if e.cfg.SlowPath {
-		e.scheduleArrival(0)
-	} else {
-		// One closure per stream for the whole run; the next-event time
-		// lives on the engine instead of in a fresh closure per event.
-		e.arrivalFn = func() {
-			e.onArrival()
-			e.scheduleArrivalFast(e.nextArrival)
-		}
-		e.scheduleArrivalFast(0)
+	// One closure per stream for the whole run; the next-event time
+	// lives on the engine instead of in a fresh closure per event.
+	e.arrivalFn = func() {
+		e.onArrival()
+		e.scheduleArrival(e.nextArrival)
 	}
+	e.scheduleArrival(0)
 	if e.cfg.Churn != nil {
-		if e.cfg.SlowPath {
-			e.scheduleChurn(0)
-		} else {
-			e.churnFn = func() {
-				e.onLeave()
-				e.scheduleChurnFast(e.nextChurn)
-			}
-			e.scheduleChurnFast(0)
+		e.churnFn = func() {
+			e.onLeave()
+			e.scheduleChurn(e.nextChurn)
 		}
+		e.scheduleChurn(0)
 	}
 	if e.ad != nil {
 		e.scheduleAdapt()
@@ -643,21 +628,8 @@ func (e *Engine) fail(err error) {
 }
 
 // scheduleArrival chains the session arrival stream from the given
-// simulated time (reference loop: a fresh closure per arrival).
+// simulated time through the persistent arrivalFn closure.
 func (e *Engine) scheduleArrival(from float64) {
-	next := e.cfg.Arrivals.Next(from, e.arriveRng)
-	if math.IsInf(next, 1) || next >= e.cfg.Horizon {
-		return
-	}
-	e.cl.Eng.At(next, func() {
-		e.onArrival()
-		e.scheduleArrival(next)
-	})
-}
-
-// scheduleArrivalFast chains the arrival stream through the persistent
-// arrivalFn closure; draws and cutoffs are identical to scheduleArrival.
-func (e *Engine) scheduleArrivalFast(from float64) {
 	next := e.cfg.Arrivals.Next(from, e.arriveRng)
 	if math.IsInf(next, 1) || next >= e.cfg.Horizon {
 		return
@@ -706,23 +678,8 @@ func (e *Engine) onArrival() {
 	if counted {
 		e.stats.Arrivals++
 	}
-	var ls *liveSession
-	var cb func(*core.Result)
-	if e.cfg.SlowPath {
-		ls = &liveSession{id: svc.ID, node: node, counted: counted, slot: -1}
-		first := true
-		cb = func(r *core.Result) {
-			if !first {
-				return
-			}
-			first = false
-			e.onFormed(ls, r)
-		}
-	} else {
-		ls = e.acquireSlot()
-		ls.id, ls.node, ls.counted = svc.ID, node, counted
-		cb = ls.onFormedFn
-	}
+	ls := e.acquireSlot()
+	ls.id, ls.node, ls.counted = svc.ID, node, counted
 	if e.admOn {
 		// The holding time is drawn at arrival, not admission, so the
 		// recorded trace carries it for every session — the clairvoyant
@@ -735,7 +692,7 @@ func (e *Engine) onArrival() {
 		e.arrivals = append(e.arrivals, admit.ArrivalRecord{Seq: seq, T: now, Hold: hold, Svc: svc})
 	}
 	e.rec.Point(now, int(node), "engine", "arrival", svc.ID)
-	org, err := e.cl.Submit(now, node, svc, e.cfg.Organizer, cb)
+	org, err := e.cl.Submit(now, node, svc, e.cfg.Organizer, ls.onFormedFn)
 	if err != nil {
 		e.fail(fmt.Errorf("session: submit %s: %w", svc.ID, err))
 		return
@@ -848,13 +805,9 @@ func (e *Engine) admitSession(ls *liveSession) {
 	} else {
 		hold = arrival.Exp(e.holdRng, e.cfg.HoldMean)
 	}
-	if e.cfg.SlowPath {
-		e.cl.Eng.After(hold, func() { e.depart(ls) })
-	} else {
-		ev := e.getDepartEv()
-		ev.ls, ev.gen = ls, ls.gen
-		e.cl.Eng.AfterArg(hold, runDepart, ev)
-	}
+	ev := e.getDepartEv()
+	ev.ls, ev.gen = ls, ls.gen
+	e.cl.Eng.AfterArg(hold, runDepart, ev)
 }
 
 // depart ends an operating session at its holding-time expiry (or at
@@ -904,9 +857,7 @@ func (e *Engine) teardown(ls *liveSession, reason string) {
 		return
 	}
 	e.scheduleHook(ls.id)
-	if ls.slot >= 0 {
-		e.retireSlot(ls)
-	}
+	e.retireSlot(ls)
 }
 
 // dissolveAttempt undoes one formation attempt: deregister, forget from
@@ -937,13 +888,9 @@ func (e *Engine) scheduleHook(id string) {
 	if hook == nil {
 		return
 	}
-	if e.cfg.SlowPath {
-		e.cl.Eng.After(e.cfg.DepartGrace, func() { hook(e.cl.Eng.Now(), id) })
-	} else {
-		ev := e.getHookEv()
-		ev.id = id
-		e.cl.Eng.AfterArg(e.cfg.DepartGrace, runHook, ev)
-	}
+	ev := e.getHookEv()
+	ev.id = id
+	e.cl.Eng.AfterArg(e.cfg.DepartGrace, runHook, ev)
 }
 
 // queueFailed handles an incomplete formation under the Queue policy.
@@ -1020,17 +967,9 @@ func (e *Engine) yieldFailed(ls *liveSession) bool {
 
 // scheduleRetry arms the session's re-submission delay seconds out.
 func (e *Engine) scheduleRetry(ls *liveSession, delay float64) {
-	if e.cfg.SlowPath {
-		e.cl.Eng.After(delay, func() {
-			if !ls.departed {
-				e.retryFire(ls)
-			}
-		})
-	} else {
-		ev := e.getRetryEv()
-		ev.ls, ev.gen = ls, ls.gen
-		e.cl.Eng.AfterArg(delay, runRetry, ev)
-	}
+	ev := e.getRetryEv()
+	ev.ls, ev.gen = ls, ls.gen
+	e.cl.Eng.AfterArg(delay, runRetry, ev)
 }
 
 // retryFire re-submits a waiting session's service. Sessions censored
@@ -1046,22 +985,8 @@ func (e *Engine) retryFire(ls *liveSession) {
 	if ls.counted {
 		e.stats.Admit.Retries++
 	}
-	now := e.cl.Eng.Now()
-	var cb func(*core.Result)
-	if e.cfg.SlowPath {
-		first := true
-		cb = func(r *core.Result) {
-			if !first {
-				return
-			}
-			first = false
-			e.onFormed(ls, r)
-		}
-	} else {
-		ls.formed = false
-		cb = ls.onFormedFn
-	}
-	org, err := e.cl.Submit(now, ls.node, ls.svc, e.cfg.Organizer, cb)
+	ls.formed = false
+	org, err := e.cl.Submit(e.cl.Eng.Now(), ls.node, ls.svc, e.cfg.Organizer, ls.onFormedFn)
 	if err != nil {
 		e.fail(fmt.Errorf("session: resubmit %s: %w", ls.id, err))
 		return
@@ -1086,9 +1011,7 @@ func (e *Engine) censorWaiting(ls *liveSession) {
 	e.rec.Point(e.cl.Eng.Now(), int(ls.node), "engine", "censored", ls.id)
 	ls.departed = true
 	e.scheduleHook(ls.id)
-	if ls.slot >= 0 {
-		e.retireSlot(ls)
-	}
+	e.retireSlot(ls)
 }
 
 // evalKey caches utility evaluators per (spec, demand reference),
@@ -1192,21 +1115,8 @@ func (e *Engine) getRebootEv() *rebootEv {
 }
 
 // scheduleChurn chains the node-leave stream from the given time
-// (reference loop: a fresh closure per leave event).
+// through the persistent churnFn closure.
 func (e *Engine) scheduleChurn(from float64) {
-	next := e.cfg.Churn.Leave.Next(from, e.churnRng)
-	if math.IsInf(next, 1) || next >= e.cfg.Horizon {
-		return
-	}
-	e.cl.Eng.At(next, func() {
-		e.onLeave()
-		e.scheduleChurn(next)
-	})
-}
-
-// scheduleChurnFast chains the leave stream through the persistent
-// churnFn closure; draws and cutoffs are identical to scheduleChurn.
-func (e *Engine) scheduleChurnFast(from float64) {
 	next := e.cfg.Churn.Leave.Next(from, e.churnRng)
 	if math.IsInf(next, 1) || next >= e.cfg.Horizon {
 		return
@@ -1219,26 +1129,16 @@ func (e *Engine) scheduleChurnFast(from float64) {
 // its reboot. Victims are drawn from the ascending node-ID list so the
 // pick is a pure function of the churn rng.
 func (e *Engine) onLeave() {
-	var candidates []radio.NodeID
-	if e.cfg.SlowPath {
-		for _, id := range e.cl.Nodes() {
-			if !e.protected[id] && !e.cl.Medium.Down(id) {
-				candidates = append(candidates, id)
-			}
+	e.candBuf = e.candBuf[:0]
+	for _, id := range e.cl.Medium.IDs() {
+		if !e.protected[id] && !e.cl.Medium.Down(id) {
+			e.candBuf = append(e.candBuf, id)
 		}
-	} else {
-		e.candBuf = e.candBuf[:0]
-		for _, id := range e.cl.Medium.IDs() {
-			if !e.protected[id] && !e.cl.Medium.Down(id) {
-				e.candBuf = append(e.candBuf, id)
-			}
-		}
-		candidates = e.candBuf
 	}
-	if len(candidates) == 0 {
+	if len(e.candBuf) == 0 {
 		return
 	}
-	victim := candidates[e.churnRng.Intn(len(candidates))]
+	victim := e.candBuf[e.churnRng.Intn(len(e.candBuf))]
 	e.cl.FailNode(victim)
 	e.stats.NodeLeaves++
 	e.rec.Point(e.cl.Eng.Now(), int(victim), "engine", "churn.leave", "")
@@ -1248,15 +1148,9 @@ func (e *Engine) onLeave() {
 		}
 	}
 	down := arrival.Exp(e.churnRng, e.cfg.Churn.DownMean)
-	if e.cfg.SlowPath {
-		e.cl.Eng.After(down, func() {
-			e.cl.RebootNode(victim)
-		})
-	} else {
-		ev := e.getRebootEv()
-		ev.victim = victim
-		e.cl.Eng.AfterArg(down, runReboot, ev)
-	}
+	ev := e.getRebootEv()
+	ev.victim = victim
+	e.cl.Eng.AfterArg(down, runReboot, ev)
 }
 
 // scheduleFreezes arms the fault plan's precomputed freeze/thaw
@@ -1400,37 +1294,20 @@ func (e *Engine) sampleTick() {
 	e.liveAvg.Observe(now, float64(len(e.live)))
 
 	// Mean QoS distance over live sessions (those with at least one
-	// assigned task). Both loops run in fixed orders — live in arrival
-	// order, tasks in declaration order — so the float summation is
-	// deterministic despite the assignment state being a map. The fast
-	// path reads the same per-task sum through the allocation-free
-	// accessor; the reference loop keeps the original snapshot copy.
+	// assigned task). Live sessions are summed in arrival order, and
+	// AssignedDistanceSum sums each session's tasks in declaration order
+	// without copying the assignment map, so the float summation is
+	// deterministic (core's TestAssignedDistanceSumMatchesSnapshot pins
+	// it to the Snapshot-derived sum).
 	var total float64
 	var n int
-	if e.cfg.SlowPath {
-		for _, ls := range e.live {
-			snap := ls.org.Snapshot()
-			if len(snap) == 0 {
-				continue
-			}
-			var d float64
-			for _, tk := range ls.org.Service().Tasks {
-				if a, ok := snap[tk.ID]; ok {
-					d += a.Distance
-				}
-			}
-			total += d / float64(len(snap))
-			n++
+	for _, ls := range e.live {
+		cnt, sum := ls.org.AssignedDistanceSum()
+		if cnt == 0 {
+			continue
 		}
-	} else {
-		for _, ls := range e.live {
-			cnt, sum := ls.org.AssignedDistanceSum()
-			if cnt == 0 {
-				continue
-			}
-			total += sum / float64(cnt)
-			n++
-		}
+		total += sum / float64(cnt)
+		n++
 	}
 	if n > 0 {
 		e.dist.Add(total / float64(n))

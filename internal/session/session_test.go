@@ -73,56 +73,50 @@ func assertAllReleased(t *testing.T, cl *core.Cluster) {
 // admission failure) no kind on any node may still hold a ledger
 // entry referencing the session, over more than 1000 simulated
 // sessions; and once every session has departed, every kind's usage
-// is exactly its pre-run value (zero). It runs once per engine path —
-// the pooled slot table recycles session records, so the pooled subtest
-// additionally proves that recycling never leaks a reservation.
+// is exactly its pre-run value (zero). The pooled slot table recycles
+// session records, so this also proves that recycling never leaks a
+// reservation.
 func TestLeakGuardOpenSystem(t *testing.T) {
-	for _, path := range []struct {
-		name string
-		slow bool
-	}{{"pooled", false}, {"slowpath", true}} {
-		t.Run(path.name, func(t *testing.T) {
-			cl := buildCluster(t, 1, 12)
-			tmpl := workload.SessionTemplate{Name: "leak", Tasks: 2, Scale: 1.0}
-			checked := 0
-			var eng *Engine
-			cfg := Config{
-				Arrivals:   arrival.Poisson{Rate: 0.5},
-				NewService: tmpl.Instantiate,
-				HoldMean:   20,
-				Horizon:    2400,
-				Warmup:     100,
-				Organizer:  core.DefaultOrganizerConfig,
-				SlowPath:   path.slow,
-				AfterDeparture: func(now float64, svcID string) {
-					checked++
-					if left := ledgerEntriesFor(eng.Cluster(), svcID); len(left) != 0 {
-						t.Fatalf("t=%.1fs: session %s left reservations behind: %v", now, svcID, left)
-					}
-				},
-			}
-			var err error
-			eng, err = New(cl, cfg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := eng.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if checked < 1000 {
-				t.Fatalf("only %d sessions tore down; the leak guard needs >= 1000", checked)
-			}
-			if st.Arrivals == 0 || st.Admitted == 0 {
-				t.Fatalf("degenerate run: %+v", st)
-			}
-			if st.Admitted+st.Blocked != st.Arrivals {
-				t.Errorf("admission accounting broken: %d admitted + %d blocked != %d arrivals",
-					st.Admitted, st.Blocked, st.Arrivals)
-			}
-			assertAllReleased(t, cl)
-		})
-	}
+	t.Run("pooled", func(t *testing.T) {
+		cl := buildCluster(t, 1, 12)
+		tmpl := workload.SessionTemplate{Name: "leak", Tasks: 2, Scale: 1.0}
+		checked := 0
+		var eng *Engine
+		cfg := Config{
+			Arrivals:   arrival.Poisson{Rate: 0.5},
+			NewService: tmpl.Instantiate,
+			HoldMean:   20,
+			Horizon:    2400,
+			Warmup:     100,
+			Organizer:  core.DefaultOrganizerConfig,
+			AfterDeparture: func(now float64, svcID string) {
+				checked++
+				if left := ledgerEntriesFor(eng.Cluster(), svcID); len(left) != 0 {
+					t.Fatalf("t=%.1fs: session %s left reservations behind: %v", now, svcID, left)
+				}
+			},
+		}
+		var err error
+		eng, err = New(cl, cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checked < 1000 {
+			t.Fatalf("only %d sessions tore down; the leak guard needs >= 1000", checked)
+		}
+		if st.Arrivals == 0 || st.Admitted == 0 {
+			t.Fatalf("degenerate run: %+v", st)
+		}
+		if st.Admitted+st.Blocked != st.Arrivals {
+			t.Errorf("admission accounting broken: %d admitted + %d blocked != %d arrivals",
+				st.Admitted, st.Blocked, st.Arrivals)
+		}
+		assertAllReleased(t, cl)
+	})
 }
 
 // TestLeakGuardUnderChurn is the E19-style variant: node churn means a

@@ -122,7 +122,6 @@ func E29AdmissionPolicies(cfg Config) (*metrics.Table, error) {
 			Horizon:    horizon,
 			Warmup:     warmup,
 			Organizer:  core.DefaultOrganizerConfig,
-			SlowPath:   cfg.SlowPath,
 			Trace:      rep.Trace,
 			Admission:  &admit.Config{Policy: p.policy},
 		}
@@ -187,7 +186,6 @@ func E30QueueVsYieldBurst(cfg Config) (*metrics.Table, error) {
 			Horizon:    horizon,
 			Warmup:     warmup,
 			Organizer:  adaptOrganizer(),
-			SlowPath:   cfg.SlowPath,
 			Trace:      rep.Trace,
 			Admission:  &admit.Config{Policy: policy},
 			// Full adaptation on every row so the rows differ only in

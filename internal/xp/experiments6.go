@@ -69,7 +69,6 @@ func E17OfferedLoad(cfg Config) (*metrics.Table, error) {
 			Horizon:    horizon,
 			Warmup:     warmup,
 			Organizer:  core.DefaultOrganizerConfig,
-			SlowPath:   cfg.SlowPath,
 			Trace:      rep.Trace,
 		})
 		if err != nil {
@@ -145,7 +144,6 @@ func E18ArrivalShapes(cfg Config) (*metrics.Table, error) {
 			Horizon:    horizon,
 			Warmup:     warmup,
 			Organizer:  core.DefaultOrganizerConfig,
-			SlowPath:   cfg.SlowPath,
 		})
 		if err != nil {
 			return nil, err
@@ -195,7 +193,6 @@ func E19CombinedChurn(cfg Config) (*metrics.Table, error) {
 			Horizon:    horizon,
 			Warmup:     warmup,
 			Organizer:  core.DefaultOrganizerConfig,
-			SlowPath:   cfg.SlowPath,
 		}
 		if lph > 0 {
 			scfg.Churn = &session.ChurnConfig{

@@ -44,7 +44,6 @@ func cityRun(rep Rep, cfg Config, city workload.CityScenario, churnPerHour float
 		Organizer: core.DefaultOrganizerConfig,
 		Parallel:  cfg.Parallel,
 		Seed:      rep.Seed,
-		SlowPath:  cfg.SlowPath,
 	}
 	if churnPerHour > 0 {
 		fc.ChurnPerHour, fc.ChurnDownMean = churnPerHour, 30

@@ -54,7 +54,6 @@ func E22AdaptChurn(cfg Config) (*metrics.Table, error) {
 			Horizon:    horizon,
 			Warmup:     warmup,
 			Organizer:  adaptOrganizer(),
-			SlowPath:   cfg.SlowPath,
 			Churn: &session.ChurnConfig{
 				Leave:    arrival.Poisson{Rate: leavesPerHour / 3600},
 				DownMean: 30,
@@ -115,7 +114,6 @@ func E23UpgradeReclamation(cfg Config) (*metrics.Table, error) {
 			Horizon:    horizon,
 			Warmup:     warmup,
 			Organizer:  adaptOrganizer(),
-			SlowPath:   cfg.SlowPath,
 		}
 		if policy != "fixed" {
 			scfg.Adapt = &adapt.Config{
@@ -183,7 +181,6 @@ func E24CityAdaptation(cfg Config) (*metrics.Table, error) {
 			},
 			Parallel: cfg.Parallel,
 			Seed:     rep.Seed,
-			SlowPath: cfg.SlowPath,
 		})
 		if err != nil {
 			return nil, err

@@ -79,7 +79,7 @@ func chaosRun(seed int64, nodes int, retry proto.RetryConfig, plan *faults.Plan,
 // renegotiation retries), no operation-phase monitor and no adaptation
 // (so the only moving part is the formation handshake), and a periodic
 // reconciliation sweep reclaiming whatever dropped releases orphan.
-func chaosFormationConfig(slow bool, quick bool, tmpl workload.SessionTemplate) session.Config {
+func chaosFormationConfig(quick bool, tmpl workload.SessionTemplate) session.Config {
 	horizon, warmup := openHorizon(quick)
 	ocfg := core.DefaultOrganizerConfig
 	ocfg.MaxRounds = 2
@@ -93,7 +93,6 @@ func chaosFormationConfig(slow bool, quick bool, tmpl workload.SessionTemplate) 
 		Warmup:         warmup,
 		Organizer:      ocfg,
 		ReconcileEvery: 10,
-		SlowPath:       slow,
 	}
 }
 
@@ -113,7 +112,7 @@ func E25LossRetry(cfg Config) (*metrics.Table, error) {
 	reps := repeats(cfg)
 	acc, err := sweep(cfg, reps, losses, func(loss float64, rep Rep) ([]float64, error) {
 		tmpl := workload.SessionTemplate{Name: "e25", Tasks: 3, Scale: 1.0}
-		mk := func() session.Config { return chaosFormationConfig(cfg.SlowPath, cfg.Quick, tmpl) }
+		mk := func() session.Config { return chaosFormationConfig(cfg.Quick, tmpl) }
 		clean, err := chaosRun(rep.Seed, 16, proto.RetryConfig{}, nil, mk())
 		if err != nil {
 			return nil, err
@@ -175,7 +174,7 @@ func E26BurstLoss(cfg Config) (*metrics.Table, error) {
 	reps := repeats(cfg)
 	acc, err := sweep(cfg, reps, shapes, func(shape string, rep Rep) ([]float64, error) {
 		tmpl := workload.SessionTemplate{Name: "e26", Tasks: 3, Scale: 1.0}
-		scfg := chaosFormationConfig(cfg.SlowPath, cfg.Quick, tmpl)
+		scfg := chaosFormationConfig(cfg.Quick, tmpl)
 		scfg.Trace = rep.Trace
 		out, err := chaosRun(rep.Seed, 16, proto.DefaultRetryConfig, plans[shape], scfg)
 		if err != nil {
@@ -216,7 +215,7 @@ func E27PartitionHeal(cfg Config) (*metrics.Table, error) {
 	reps := repeats(cfg)
 	acc, err := sweep(cfg, reps, lens, func(plen float64, rep Rep) ([]float64, error) {
 		tmpl := workload.SessionTemplate{Name: "e27", Tasks: 3, Scale: 1.0}
-		scfg := chaosFormationConfig(cfg.SlowPath, cfg.Quick, tmpl)
+		scfg := chaosFormationConfig(cfg.Quick, tmpl)
 		// Full protocol path: default formation deadline, monitor and
 		// reconfiguration on — the partition is an operation-phase event.
 		scfg.Organizer = core.DefaultOrganizerConfig

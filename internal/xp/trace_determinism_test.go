@@ -14,11 +14,11 @@ import (
 
 // tracedChaosJSONL runs the quick E26 chaos sweep with the flight
 // recorder on and returns the journal serialized as JSONL.
-func tracedChaosJSONL(t *testing.T, parallel int, slow bool) string {
+func tracedChaosJSONL(t *testing.T, parallel int) string {
 	t.Helper()
 	j := trace.NewJournal()
 	cfg := Config{Seed: 1, Repeats: 2, Quick: true, Parallel: parallel,
-		SlowPath: slow, Trace: j, TraceGroup: "E26"}
+		Trace: j, TraceGroup: "E26"}
 	if _, err := E26BurstLoss(cfg); err != nil {
 		t.Fatalf("E26: %v", err)
 	}
@@ -30,21 +30,22 @@ func tracedChaosJSONL(t *testing.T, parallel int, slow bool) string {
 }
 
 // e26TraceReference holds the SHA-256 and event count of the trace the
-// reference session loop recorded for the quick E26 sweep.
+// engine's former reference session loop (an unpooled copy of the loop,
+// since deleted) recorded for the quick E26 sweep.
 const e26TraceReference = "testdata/e26-trace.txt"
 
-var update = flag.Bool("update", false, "rewrite "+e26TraceReference+" (deliberate re-pins only)")
+var update = flag.Bool("update", false, "rewrite "+e26TraceReference+" from the current loop (deliberate re-pins only)")
 
 // TestChaosTraceDeterminism pins the flight recorder's reproducibility
 // contract: a same-seed chaos run emits byte-identical JSONL traces no
-// matter the worker-pool width and no matter which session loop
-// implementation drives it. This is the trace-level twin of the table
-// equivalence gate in scripts/determinism.sh.
+// matter the worker-pool width, equal to the reference session loop's
+// recorded trace. This is the trace-level twin of the table determinism
+// gate in scripts/determinism.sh.
 func TestChaosTraceDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the chaos sweep four times")
+		t.Skip("runs the chaos sweep three times")
 	}
-	base := tracedChaosJSONL(t, 1, false)
+	base := tracedChaosJSONL(t, 1)
 	if base == "" {
 		t.Fatal("traced chaos run produced an empty journal")
 	}
@@ -58,17 +59,13 @@ func TestChaosTraceDeterminism(t *testing.T) {
 			t.Errorf("trace missing %q events", kind)
 		}
 	}
-	if again := tracedChaosJSONL(t, 1, false); again != base {
+	if again := tracedChaosJSONL(t, 1); again != base {
 		t.Error("two same-seed runs disagree byte-for-byte")
 	}
-	if par := tracedChaosJSONL(t, 8, false); par != base {
+	if par := tracedChaosJSONL(t, 8); par != base {
 		t.Error("parallel 8 trace differs from sequential trace")
 	}
-	slow := tracedChaosJSONL(t, 1, true)
-	if slow != base {
-		t.Error("slow-path trace differs from fast-path trace")
-	}
-	got := fmt.Sprintf("sha256=%x events=%d\n", sha256.Sum256([]byte(slow)), strings.Count(slow, "\n"))
+	got := fmt.Sprintf("sha256=%x events=%d\n", sha256.Sum256([]byte(base)), strings.Count(base, "\n"))
 	if *update {
 		if err := os.WriteFile(e26TraceReference, []byte(got), 0o644); err != nil {
 			t.Fatal(err)

@@ -36,11 +36,6 @@ type Config struct {
 	// rand.Rand seeded with Seed+r and aggregation happens in
 	// replication order after the fan-in.
 	Parallel int
-	// SlowPath makes the open-system experiments (E17-E24) drive the
-	// retained reference session loop instead of the pooled fast path.
-	// Tables are bit-identical either way — scripts/determinism.sh diffs
-	// the two as the equivalence gate.
-	SlowPath bool
 	// Trace, when set, collects every replication's flight-recorder
 	// events into the journal, one scope per (sweep point, replication)
 	// job so serialization order is independent of Parallel. Experiments

@@ -13,28 +13,22 @@
 #            faulted tables pin like clean ones (PR 7)
 #   E29-E30  the admission-policy layer: queue retry timers and yield
 #            journals must admit/expire in the same order at any width
-#            and on either session loop (PR 10)
-#
-# Since PR 6 the session engine has two implementations — the pooled
-# fast path (default) and the retained -slowpath reference loop — so
-# each experiment is checked twice over:
-#
-#   parallel 1 vs parallel 8      on the pooled fast path
-#   fast path vs -slowpath        at parallel 8 (the equivalence gate)
+#            (PR 10)
 #
 # Usage: scripts/determinism.sh [EXPERIMENT...]   (default: E1 E17 E20 E22-E27 E29-E30)
 #
-# Only wall-clock lines ("elapsed") may differ between runs; any other
-# byte is a determinism regression in a worker pool, an accumulator, or
-# an experiment body drawing randomness outside its replication's rng —
-# or, on the fast-vs-slowpath diff, a pooled object leaking state
-# between sessions.
+# Only wall-clock lines ("elapsed") may differ between the two runs; any
+# other byte is a determinism regression in a worker pool, an
+# accumulator, or an experiment body drawing randomness outside its
+# replication's rng.
 #
-# Since PR 8 each invocation also records the flight-recorder trace
-# (-trace-out) and the same three-way diff applies to the JSONL traces:
-# a trace that differs across pool widths means a journal scope leaked
-# between replications; one that differs across session loops means an
-# emission site sits on a path only one implementation takes.
+# Each invocation also records the flight-recorder trace (-trace-out)
+# and the same diff applies to the JSONL traces: a trace that differs
+# across pool widths means a journal scope leaked between replications.
+#
+# The session engine's pooled loop is held to the answers of its former
+# unpooled reference loop by the recorded-reference tests in
+# internal/session, internal/fabric and internal/xp, not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,10 +45,8 @@ status=0
 for e in "${exps[@]}"; do
   p1="$(dirname "$bin")/$e.p1.txt"
   p8="$(dirname "$bin")/$e.p8.txt"
-  ref="$(dirname "$bin")/$e.slow.txt"
   t1="$(dirname "$bin")/$e.p1.jsonl"
   t8="$(dirname "$bin")/$e.p8.jsonl"
-  tref="$(dirname "$bin")/$e.slow.jsonl"
   "$bin" -run "$e" -quick -parallel 1 -trace-out "$t1" | grep -v elapsed > "$p1"
   "$bin" -run "$e" -quick -parallel 8 -trace-out "$t8" | grep -v elapsed > "$p8"
   if diff -u "$p1" "$p8"; then
@@ -63,23 +55,10 @@ for e in "${exps[@]}"; do
     echo "determinism: $e FAILED — table depends on worker-pool width" >&2
     status=1
   fi
-  "$bin" -run "$e" -quick -parallel 8 -slowpath -trace-out "$tref" | grep -v elapsed > "$ref"
-  if diff -u "$ref" "$p8"; then
-    echo "determinism: $e OK (fast path == slowpath reference)"
-  else
-    echo "determinism: $e FAILED — pooled fast path diverges from the reference loop" >&2
-    status=1
-  fi
   if cmp -s "$t1" "$t8"; then
     echo "determinism: $e OK (trace parallel 1 == parallel 8, $(wc -l < "$t1") events)"
   else
     echo "determinism: $e FAILED — flight-recorder trace depends on worker-pool width" >&2
-    status=1
-  fi
-  if cmp -s "$tref" "$t8"; then
-    echo "determinism: $e OK (trace fast path == slowpath reference)"
-  else
-    echo "determinism: $e FAILED — trace emission differs between session loops" >&2
     status=1
   fi
 done
