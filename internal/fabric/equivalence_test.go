@@ -18,10 +18,9 @@ const cityReference = "testdata/pathwidth-city.txt"
 
 var update = flag.Bool("update", false, "rewrite "+cityReference+" from the current loop (deliberate re-pins only)")
 
-// TestPathWidthEquivalence crosses the shard pool's width with the
-// session engine's recorded reference answer: at parallel 1 and 8 the
-// Result must be the same to the last bit — every shard's stats and the
-// merged city view — and the city must match the reference loop's
+// TestPathWidthEquivalence runs one city at shard-pool widths 1 and 8:
+// the Results must be equal to the last bit — every shard's stats and
+// the merged city view — and the city must match the reference loop's
 // recorded answer. This is the fabric-level face of the equivalence
 // harness in internal/session: shards exercise slot recycling
 // concurrently, so a pooled object escaping one shard's engine would

@@ -16,9 +16,9 @@ import (
 // This file holds the admission-policy layer to the same bars as the
 // rest of the engine: equivalence with the reference loop's recorded
 // answers (queue retry timers are a pooled event type), run-to-run
-// determinism of the queue orderings, the PR-3 reservation-leak guard,
-// and the differential bound — no policy may ever extract more utility from a trace than
-// the clairvoyant oracle's relaxation allows.
+// determinism of the queue orderings, the reservation-leak guard, and
+// the differential bound — no policy may ever extract more utility
+// from a trace than the clairvoyant oracle's relaxation allows.
 
 // admitConfig assembles the scenario's config with an admission policy
 // installed. Yield requires the adaptation engine; when the scenario

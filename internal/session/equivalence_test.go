@@ -192,13 +192,13 @@ func FuzzSlotTable(f *testing.F) {
 }
 
 // FuzzOpenSystemLifecycle drives whole randomized open-system runs and
-// holds them to the PR-3 leak-guard bar: after every teardown no ledger
+// holds them to the leak-guard bar: after every teardown no ledger
 // entry may reference the departed session, and after the drain every
 // ledger must be back at capacity. On the seed inputs the Stats must
-// also match the reference loop's recorded answers. The fuzz input picks the
-// population, load, churn and adaptation policy, so admit / dissolve /
-// reboot / retire interleavings the hand-written tests never reach are
-// explored mechanically.
+// also match the reference loop's recorded answers. The fuzz input
+// picks the population, load, churn and adaptation policy, so admit /
+// dissolve / reboot / retire interleavings the hand-written tests never
+// reach are explored mechanically.
 func FuzzOpenSystemLifecycle(f *testing.F) {
 	type input struct {
 		seed                          int64

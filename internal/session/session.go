@@ -537,8 +537,8 @@ func (e *Engine) Cluster() *core.Cluster { return e.cl }
 // steady-state statistics over [Warmup, Horizon].
 func (e *Engine) Run() (*Stats, error) {
 	e.sampleFn = e.sampleTick
-	// One closure per stream for the whole run; the next-event time
-	// lives on the engine instead of in a fresh closure per event.
+	// One closure per stream for the whole run, so scheduling the next
+	// event allocates nothing; the next-event time lives on the engine.
 	e.arrivalFn = func() {
 		e.onArrival()
 		e.scheduleArrival(e.nextArrival)

@@ -94,8 +94,7 @@ func (s Span) End(t float64, detail string) {
 // experiment harness names each scope "<experiment>/<global rep index>"
 // (zero-padded), events within a scope arrive in that replication's own
 // deterministic order, and WriteJSONL walks scopes sorted — so the
-// bytes are identical at parallel 1 and parallel 8, and on the fast and
-// -slowpath session loops, for the same seed.
+// bytes are identical at parallel 1 and parallel 8 for the same seed.
 type Journal struct {
 	mu     sync.Mutex
 	scopes map[string]*Buffer

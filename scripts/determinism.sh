@@ -13,7 +13,6 @@
 #            faulted tables pin like clean ones (PR 7)
 #   E29-E30  the admission-policy layer: queue retry timers and yield
 #            journals must admit/expire in the same order at any width
-#            (PR 10)
 #
 # Usage: scripts/determinism.sh [EXPERIMENT...]   (default: E1 E17 E20 E22-E27 E29-E30)
 #
