@@ -140,8 +140,7 @@ func BenchmarkCityFabric(b *testing.B) {
 // neighbourhoods, each under the same fixed load, across N pool
 // workers — so sessions/s should grow near-linearly in N up to the core
 // count while ns/op stays near-flat. workers=1 is the single-engine
-// figure the PR-6 pooling targeted; scripts/benchgate.sh gates
-// workers=1 against the committed baseline.
+// figure the pooling targets.
 func BenchmarkSessionsPerSecond(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -15,8 +15,8 @@
 // every draw from a fixed hash of (seed, s), so their city-wide tables
 // carry the identical guarantee (scripts/determinism.sh enforces it in
 // CI). -json additionally writes a machine-readable results document
-// (run metadata, config, and per-experiment wall time) for recording
-// benchmark trajectories across commits; FILE may be "-" for stdout.
+// (run metadata, config, tables and per-experiment wall time); FILE may
+// be "-" for stdout.
 //
 // Observability flags:
 //
@@ -25,8 +25,6 @@
 //	                  journal and write it as JSONL; the bytes are
 //	                  identical at any -parallel width
 //	                  (scripts/determinism.sh diffs them)
-//	-store FILE       append the run's experiment metrics to the
-//	                  results-store JSONL (rendered by cmd/qostrend)
 //	-cpuprofile FILE  write a pprof CPU profile of the suite run
 //	-memprofile FILE  write a pprof heap profile taken after the run
 package main
@@ -58,7 +56,6 @@ type options struct {
 	jsonPath string
 
 	traceOut   string
-	storePath  string
 	cpuProfile string
 	memProfile string
 }
@@ -78,7 +75,6 @@ func parseFlags(args []string, errw io.Writer) (*options, error) {
 	fs.IntVar(&o.parallel, "parallel", runtime.NumCPU(), "worker-pool width for replications (1 = sequential; output is identical at any width)")
 	fs.StringVar(&o.jsonPath, "json", "", "write a JSON results document to FILE (\"-\" = stdout, suppressing the text tables)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the suite's flight-recorder trace as JSONL to FILE")
-	fs.StringVar(&o.storePath, "store", "", "append experiment metrics to the results-store JSONL at FILE")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to FILE")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to FILE (taken after the run)")
 	if err := fs.Parse(args); err != nil {
@@ -199,7 +195,7 @@ func main() {
 }
 
 // writeArtifacts emits the post-run documents: the JSON results file,
-// the trace JSONL, the results-store entries, and the heap profile.
+// the trace JSONL, and the heap profile.
 func writeArtifacts(o *options, res *metrics.Results, journal *trace.Journal) error {
 	if o.jsonPath != "" {
 		if err := res.WriteFile(o.jsonPath); err != nil {
@@ -216,21 +212,6 @@ func writeArtifacts(o *options, res *metrics.Results, journal *trace.Journal) er
 			return err
 		}
 		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if o.storePath != "" {
-		store, err := metrics.OpenJSONLStore(o.storePath)
-		if err != nil {
-			return err
-		}
-		for _, e := range res.Entries("qosbench") {
-			if err := store.Record(e); err != nil {
-				store.Close()
-				return err
-			}
-		}
-		if err := store.Close(); err != nil {
 			return err
 		}
 	}

@@ -33,7 +33,7 @@ func TestParseFlagsAll(t *testing.T) {
 	o, err := parseFlags([]string{
 		"-seed", "7", "-repeats", "3", "-quick", "-csv",
 		"-run", "E1,E5", "-parallel", "8", "-json", "out.json",
-		"-trace-out", "trace.jsonl", "-store", "results.jsonl",
+		"-trace-out", "trace.jsonl",
 		"-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof",
 	}, io.Discard)
 	if err != nil {
@@ -41,7 +41,7 @@ func TestParseFlagsAll(t *testing.T) {
 	}
 	want := options{seed: 7, repeats: 3, quick: true, csv: true,
 		run: "E1,E5", parallel: 8, jsonPath: "out.json",
-		traceOut: "trace.jsonl", storePath: "results.jsonl",
+		traceOut:   "trace.jsonl",
 		cpuProfile: "cpu.pprof", memProfile: "mem.pprof"}
 	if *o != want {
 		t.Errorf("got %+v, want %+v", *o, want)
@@ -133,21 +133,20 @@ func TestRunSuiteParallelIdenticalOutput(t *testing.T) {
 	}
 }
 
-// TestSuiteTraceAndStoreArtifacts runs a traced quick suite twice —
-// parallel 1 and 8 — and checks the CLI-level flight-recorder
-// contract: the journal serializes to identical JSONL at both widths,
-// and writeArtifacts lands the trace file plus one store entry per
-// experiment-table row (and wall-time entry).
-func TestSuiteTraceAndStoreArtifacts(t *testing.T) {
+// TestSuiteTraceArtifacts runs a traced quick suite twice — parallel
+// 1 and 8 — and checks the CLI-level flight-recorder contract: the
+// journal serializes to identical JSONL at both widths, and
+// writeArtifacts lands a trace file equal to that serialization.
+func TestSuiteTraceArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	exps, err := selectExperiments("E17,E26")
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(par int) (string, *metrics.Results) {
+	render := func(par int) string {
 		journal := trace.NewJournal()
 		o := &options{seed: 1, repeats: 2, quick: true, parallel: par,
-			traceOut: filepath.Join(dir, "trace.jsonl"), storePath: filepath.Join(dir, "results.jsonl")}
+			traceOut: filepath.Join(dir, "trace.jsonl")}
 		res, failed := runSuite(o, exps, journal, io.Discard, io.Discard)
 		if failed != 0 {
 			t.Fatalf("parallel=%d: %d failures", par, failed)
@@ -159,10 +158,10 @@ func TestSuiteTraceAndStoreArtifacts(t *testing.T) {
 		if err := writeArtifacts(o, res, journal); err != nil {
 			t.Fatal(err)
 		}
-		return buf.String(), res
+		return buf.String()
 	}
-	trace1, _ := render(1)
-	trace8, res := render(8)
+	trace1 := render(1)
+	trace8 := render(8)
 	if trace1 == "" {
 		t.Fatal("traced suite recorded nothing")
 	}
@@ -181,25 +180,5 @@ func TestSuiteTraceAndStoreArtifacts(t *testing.T) {
 	}
 	if string(raw) != trace8 {
 		t.Error("trace file does not match the journal serialization")
-	}
-
-	entries, err := metrics.ReadStore(filepath.Join(dir, "results.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two renders appended twice; each suite contributes rows+wall per
-	// experiment.
-	want := 2 * len(res.Entries("qosbench"))
-	if len(entries) != want {
-		t.Fatalf("store entries = %d, want %d", len(entries), want)
-	}
-	found := false
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name, "E17/") && e.Kind == "experiment" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("store has no E17 experiment rows")
 	}
 }

@@ -54,8 +54,6 @@
 //	-trace-out FILE   write the structured flight-recorder trace as
 //	                  JSONL (open mode: engine events; one-shot mode:
 //	                  protocol events)
-//	-store FILE       open mode: append the run's headline metrics to
-//	                  the results-store JSONL (see cmd/qostrend)
 //	-cpuprofile FILE  write a pprof CPU profile of the run
 //	-memprofile FILE  write a pprof heap profile taken after the run
 package main
@@ -78,7 +76,6 @@ import (
 	"repro/internal/arrival"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	qosnet "repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/proto"
@@ -118,7 +115,6 @@ type options struct {
 	faults  bool
 
 	traceOut   string
-	storePath  string
 	cpuProfile string
 	memProfile string
 }
@@ -150,7 +146,6 @@ func parseFlags(args []string, errw io.Writer) (*options, error) {
 	fs.StringVar(&o.admit, "admit", "block", "open mode: admission policy for blocked arrivals: block | queue | yield")
 	fs.BoolVar(&o.faults, "faults", false, "open mode: inject the representative deterministic fault plan with the reliability layer on")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the flight-recorder trace as JSONL to FILE")
-	fs.StringVar(&o.storePath, "store", "", "open mode: append headline metrics to the results-store JSONL at FILE")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to FILE")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to FILE (taken after the run)")
 	if err := fs.Parse(args); err != nil {
@@ -293,11 +288,6 @@ func runOpen(o *options, out io.Writer) error {
 			return err
 		}
 	}
-	if o.storePath != "" {
-		if err := recordRun(o, st); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -312,34 +302,6 @@ func writeTraceFile(path string, journal *trace.Journal) error {
 		return err
 	}
 	return f.Close()
-}
-
-// recordRun appends the open run's headline metrics — steady-state
-// quality plus the unified hardening counters — to the results store,
-// keyed by the commit of the running binary.
-func recordRun(o *options, st *session.Stats) error {
-	store, err := metrics.OpenJSONLStore(o.storePath)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	m := map[string]float64{
-		"admission": st.AdmissionRatio(),
-		"qos_dist":  st.DistanceAvg,
-		"live_avg":  st.LiveAvg,
-		"cpu_util":  st.Util[resource.CPU],
-	}
-	for name, v := range st.Counters {
-		m[name] = float64(v)
-	}
-	return store.Record(metrics.Entry{
-		Commit:  metrics.Describe(),
-		Date:    time.Now().UTC().Format(time.RFC3339),
-		Source:  "qosim",
-		Kind:    "experiment",
-		Name:    "qosim/open",
-		Metrics: m,
-	})
 }
 
 // run wraps the selected mode with the optional pprof profiles: the

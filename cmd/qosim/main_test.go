@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	qosnet "repro/internal/net"
 	"repro/internal/proto"
 	"repro/internal/radio"
@@ -170,18 +169,17 @@ func TestRunFaultsMode(t *testing.T) {
 
 // TestRunObservabilityArtifacts drives the open+faults mode with every
 // observability flag on and checks each artifact landed: a non-empty
-// JSONL trace whose lines are JSON objects, pprof CPU and heap
-// profiles, and a results-store entry carrying the hardening counters.
+// JSONL trace whose lines are JSON objects, and pprof CPU and heap
+// profiles.
 func TestRunObservabilityArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	traceOut := filepath.Join(dir, "trace.jsonl")
-	store := filepath.Join(dir, "results.jsonl")
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	var out bytes.Buffer
 	o, err := parseFlags([]string{
 		"-open", "-faults", "-horizon", "300", "-rate", "0.1", "-tasks", "2", "-scale", "1",
-		"-trace-out", traceOut, "-store", store, "-cpuprofile", cpu, "-memprofile", mem,
+		"-trace-out", traceOut, "-cpuprofile", cpu, "-memprofile", mem,
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -206,20 +204,6 @@ func TestRunObservabilityArtifacts(t *testing.T) {
 		if ev["scope"] != "qosim/0000" {
 			t.Fatalf("trace line %d has scope %v", i+1, ev["scope"])
 		}
-	}
-
-	entries, err := metrics.ReadStore(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name != "qosim/open" || entries[0].Kind != "experiment" {
-		t.Fatalf("store entries: %+v", entries)
-	}
-	if _, ok := entries[0].Metrics["admission"]; !ok {
-		t.Errorf("store entry missing admission: %v", entries[0].Metrics)
-	}
-	if _, ok := entries[0].Metrics["proto.retransmissions"]; !ok {
-		t.Errorf("store entry missing hardening counters: %v", entries[0].Metrics)
 	}
 
 	for _, p := range []string{cpu, mem} {

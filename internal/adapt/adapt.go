@@ -74,10 +74,6 @@ type Config struct {
 	// admission-time levels re-anchor exactly onto the compiled ladder
 	// (default qos.DefaultGridSteps, the provider default).
 	GridSteps int
-	// Penalty must match the providers' reward penalty function so the
-	// engine's degradation steps retrace the admission-time Formulate
-	// path (nil = qos.DefaultPenalty, the provider default).
-	Penalty qos.PenaltyFunc
 }
 
 // withDefaults normalizes zero values.
@@ -323,7 +319,7 @@ func (e *Engine) compileFor(svc *task.Service, t *task.Task) (*core.CompiledProb
 		return nil, fmt.Errorf("adapt: demand reference %q not in catalog", ref)
 	}
 	entry := &compiledEntry{req: t.Request}
-	cp, err := core.CompileProblem(svc.Spec, &entry.req, dm, e.cfg.GridSteps, e.cfg.Penalty)
+	cp, err := core.CompileProblem(svc.Spec, &entry.req, dm, e.cfg.GridSteps, nil)
 	if err != nil {
 		return nil, err
 	}

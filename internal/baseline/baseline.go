@@ -49,9 +49,8 @@ type Problem struct {
 	// Organizer indexes into Nodes: the requesting node.
 	Organizer radio.NodeID
 	Nodes     []NodeView
-	// GridSteps and Penalty mirror the provider configuration.
+	// GridSteps mirrors the provider configuration.
 	GridSteps int
-	Penalty   qos.PenaltyFunc
 }
 
 // TaskAlloc is one task's outcome.
@@ -131,7 +130,7 @@ func evaluatorFor(p *Problem, t *task.Task) (*qos.Evaluator, error) {
 // compileTask compiles one task's formulation problem; allocators do it
 // once per task and formulate against as many nodes as they probe.
 func compileTask(p *Problem, t *task.Task) (*core.CompiledProblem, error) {
-	return core.CompileProblem(p.Service.Spec, &t.Request, t.Demand, p.GridSteps, p.Penalty)
+	return core.CompileProblem(p.Service.Spec, &t.Request, t.Demand, p.GridSteps, nil)
 }
 
 // formulateOn runs the provider-side heuristic for a task against one

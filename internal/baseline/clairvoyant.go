@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/qos"
 	"repro/internal/resource"
 	"repro/internal/task"
 )
@@ -25,12 +24,11 @@ type TraceSession struct {
 // admission problem the clairvoyant oracle optimizes. Node capacities
 // must be the fleet's clean capacities (no churn, no faults — the
 // oracle's accounting assumes capacity is constant over the horizon).
-// GridSteps and Penalty follow the Formulate conventions (<=0 and nil
-// select the provider defaults).
+// GridSteps follows the Formulate convention (<=0 selects the provider
+// default).
 type Trace struct {
 	Nodes     []NodeView
 	GridSteps int
-	Penalty   qos.PenaltyFunc
 	// Horizon is the run length in simulated seconds; Bound integrates
 	// resource-kind-seconds over [0, Horizon].
 	Horizon float64
@@ -102,7 +100,7 @@ func compileTrace(tr *Trace) []cvSession {
 		cs := cvSession{servable: true}
 		for _, t := range s.Service.Tasks {
 			var ct cvTask
-			if cp, err := core.CompileProblem(s.Service.Spec, &t.Request, t.Demand, tr.GridSteps, tr.Penalty); err == nil {
+			if cp, err := core.CompileProblem(s.Service.Spec, &t.Request, t.Demand, tr.GridSteps, nil); err == nil {
 				ct.stops = cp.Path
 				for j := range ct.stops {
 					ct.maxU = max(ct.maxU, ct.stops[j].Utility)

@@ -18,8 +18,6 @@ import (
 type ProviderConfig struct {
 	// GridSteps discretizes continuous accepted spans (qos.BuildLadder).
 	GridSteps int
-	// Penalty is the reward penalty function (nil = qos.DefaultPenalty).
-	Penalty qos.PenaltyFunc
 	// Hold makes proposals tentatively reserve their demand until
 	// HoldTimeout expires or an award converts them. Without holds a
 	// provider may over-promise across concurrent negotiations and
@@ -275,7 +273,7 @@ func (p *Provider) compileFor(specName, ref string, spec *qos.Spec, req *qos.Req
 		return e, nil
 	}
 	e = &compiledEntry{req: *req}
-	cp, err := CompileProblem(spec, &e.req, dm, p.cfg.GridSteps, p.cfg.Penalty)
+	cp, err := CompileProblem(spec, &e.req, dm, p.cfg.GridSteps, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -121,8 +121,7 @@ type ExperimentResult struct {
 
 // Results is the machine-readable document a whole suite run exports:
 // run metadata, the caller's configuration, and one entry per
-// experiment. cmd/qosbench -json writes one of these so benchmark
-// trajectories can be recorded and diffed across commits.
+// experiment. cmd/qosbench -json writes one of these.
 type Results struct {
 	Tool        string             `json:"tool"`
 	Describe    string             `json:"describe"`

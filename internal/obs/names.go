@@ -3,8 +3,8 @@ package obs
 // Canonical counter names. The registry itself accepts any string, but
 // every counter this repository registers does so under one of these
 // constants — the single list is what lets session.Stats, the fabric
-// merge, the chaos report, and qostrend agree on keys without a shared
-// schema file. The prefix is the owning package.
+// merge, the chaos report, and the benchmark agree on keys without a
+// shared schema file. The prefix is the owning package.
 const (
 	// Retransmissions counts retry sends the reliability layer issued
 	// (proto.Reliable, one counter per node).

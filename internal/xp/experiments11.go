@@ -96,7 +96,7 @@ type admitPoint struct {
 // yield buys admission by degrading incumbents when the arrival's
 // marginal utility exceeds the drift cost. The gap column is the
 // differential claim: no policy extracts more utility than the oracle
-// bound allows (gap >= 0 by construction, and benchgate pins gap <= 1).
+// bound allows (TestE29GapWithinBound checks utility <= bound per row).
 func E29AdmissionPolicies(cfg Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E29 admission policy vs clairvoyant bound across offered load",
 		"rate/s", "policy", "admission", "q-admit", "y-admit", "utility", "bound", "gap")

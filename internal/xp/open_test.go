@@ -1,6 +1,7 @@
 package xp
 
 import (
+	"math"
 	"strconv"
 	"testing"
 )
@@ -85,5 +86,48 @@ func TestE19ChurnCostsReconfigurations(t *testing.T) {
 	}
 	if reconf == 0 {
 		t.Error("churn produced node leaves but zero reconfigurations; is the monitor wired?")
+	}
+}
+
+// TestE29GapWithinBound: no admission policy may extract more utility
+// than the clairvoyant bound of its own recorded trace. optGap clamps
+// to [0, 1], so a gap column in range proves little on its own: a bound
+// that undershoots reads as gap 0. The utility and bound columns are
+// therefore checked against each other, and a row whose utility falls
+// short of its bound must show a positive gap (some seed fell short).
+func TestE29GapWithinBound(t *testing.T) {
+	tbl, err := E29AdmissionPolicies(Config{Seed: 1, Repeats: 5, Quick: true, Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := map[string]int{}
+	for i, c := range tbl.Cols {
+		col[c] = i
+	}
+	num := func(row []string, name string) float64 {
+		i, ok := col[name]
+		if !ok || i >= len(row) {
+			t.Fatalf("E29 has no %q cell in row %v", name, row)
+		}
+		v, err := strconv.ParseFloat(row[i], 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("E29 %s cell %q is not a finite number (row %v)", name, row[i], row)
+		}
+		return v
+	}
+	if len(tbl.Rows) == 0 {
+		t.Fatal("E29 rendered no rows")
+	}
+	for _, row := range tbl.Rows {
+		utility, bound, gap := num(row, "utility"), num(row, "bound"), num(row, "gap")
+		if utility > bound {
+			t.Errorf("utility %g exceeds the clairvoyant bound %g: %v", utility, bound, row)
+		}
+		if gap < 0 || gap > 1 {
+			t.Errorf("gap %g outside [0, 1]: %v", gap, row)
+		}
+		if utility < bound && gap == 0 {
+			t.Errorf("utility %g short of bound %g but gap 0: %v", utility, bound, row)
+		}
 	}
 }
