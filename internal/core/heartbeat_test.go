@@ -71,3 +71,36 @@ func TestHeartbeatTaskIDsSorted(t *testing.T) {
 		t.Errorf("%d heartbeats, want none after the service was released", n-3)
 	}
 }
+
+// TestHeartbeatReformedServiceRunsOneLoop releases a service and adopts
+// it again under the same ID within one heartbeat period (net's
+// Host.Organize and adapt's AdoptReservation both allow it). The old
+// state's loop must stop at its next tick, so the new state's loop is
+// the only one sending: one heartbeat per period, not two.
+func TestHeartbeatReformedServiceRunsOneLoop(t *testing.T) {
+	tr := &recTransport{self: 1}
+	eng := sim.New(1)
+	cfg := DefaultProviderConfig
+	p := NewProvider(1, resource.NewSet(resource.V(resource.KV{K: resource.CPU, A: 100})),
+		NewCatalog(), tr, simTimers{eng}, cfg)
+	demand := resource.V(resource.KV{K: resource.CPU, A: 1})
+	if err := p.AdoptReservation(0, "svc", "t0", demand); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(1.2 * cfg.HeartbeatEvery)
+	p.ReleaseService("svc")
+	if err := p.AdoptReservation(0, "svc", "t0", demand); err != nil {
+		t.Fatal(err)
+	}
+	before := len(tr.sent)
+	eng.Run(eng.Now() + 20.5*cfg.HeartbeatEvery)
+	beats := 0
+	for _, s := range tr.sent[before:] {
+		if _, ok := s.m.(*proto.Heartbeat); ok {
+			beats++
+		}
+	}
+	if beats != 20 {
+		t.Errorf("%d heartbeats in 20 periods after the service was formed again, want 20", beats)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -150,7 +151,7 @@ type Organizer struct {
 	started   float64
 	proposals int
 	onFormed  func(*Result)
-	lastHB    map[radio.NodeID]float64
+	lastHB    []heard // one stamp per member heard from
 	monitorOn bool
 
 	improving bool
@@ -189,6 +190,35 @@ type orgTask struct {
 	evalInit bool
 }
 
+// heard is a member's last liveness stamp.
+type heard struct {
+	node radio.NodeID
+	at   float64
+}
+
+// heardFrom returns the index of n's stamp in lastHB, or -1. Like
+// taskAt it scans: a coalition has a handful of members.
+func (o *Organizer) heardFrom(n radio.NodeID) int {
+	for i := range o.lastHB {
+		if o.lastHB[i].node == n {
+			return i
+		}
+	}
+	return -1
+}
+
+// stamp records that n was heard from at time at.
+func (o *Organizer) stamp(n radio.NodeID, at float64) {
+	if i := o.heardFrom(n); i >= 0 {
+		o.lastHB[i].at = at
+		return
+	}
+	if o.lastHB == nil {
+		o.lastHB = make([]heard, 0, len(o.tasks)) // members rarely outnumber tasks
+	}
+	o.lastHB = append(o.lastHB, heard{n, at})
+}
+
 // taskAt returns the state record for a task ID, or nil for IDs outside
 // the service (stale or foreign protocol traffic). Services are small —
 // a linear scan beats a per-organizer map.
@@ -224,7 +254,6 @@ func NewOrganizer(svc *task.Service, tr proto.Transport, tm proto.Timers, cfg Or
 	o := &Organizer{
 		tr: tr, tm: tm, cfg: cfg, svc: svc, traceOn: !nop,
 		tasks:    make([]orgTask, len(svc.Tasks)),
-		lastHB:   make(map[radio.NodeID]float64),
 		onFormed: onFormed,
 	}
 	for i, t := range svc.Tasks {
@@ -482,7 +511,7 @@ func (o *Organizer) onAwardAck(from radio.NodeID, m *proto.AwardAck) {
 		ot.pending = false
 		data = append(data, &proto.TaskData{ServiceID: o.svc.ID, TaskID: tid, Bytes: ot.t.InBytes})
 	}
-	o.lastHB[from] = o.tm.Now()
+	o.stamp(from, o.tm.Now())
 	svcID := o.svc.ID
 	o.mu.Unlock()
 	for _, d := range data {
@@ -651,8 +680,8 @@ func (o *Organizer) finishRound(round int) {
 			if !o.tasks[i].assigned {
 				continue
 			}
-			if _, seen := o.lastHB[o.tasks[i].asg.Node]; !seen {
-				o.lastHB[o.tasks[i].asg.Node] = now
+			if n := o.tasks[i].asg.Node; o.heardFrom(n) < 0 {
+				o.stamp(n, now)
 			}
 		}
 	}
@@ -676,7 +705,7 @@ func (o *Organizer) onHeartbeat(from radio.NodeID, m *proto.Heartbeat) {
 		return
 	}
 	o.mu.Lock()
-	o.lastHB[from] = o.tm.Now()
+	o.stamp(from, o.tm.Now())
 	o.mu.Unlock()
 }
 
@@ -714,8 +743,8 @@ func (o *Organizer) monitorBody() {
 		if ot.asg.Node == o.tr.Self() {
 			continue // local execution needs no radio heartbeat
 		}
-		last, ok := o.lastHB[ot.asg.Node]
-		if !ok || now-last > o.cfg.HeartbeatTimeout {
+		h := o.heardFrom(ot.asg.Node)
+		if h < 0 || now-o.lastHB[h].at > o.cfg.HeartbeatTimeout {
 			if failed == nil {
 				failed = make(map[radio.NodeID]bool)
 			}
@@ -727,9 +756,7 @@ func (o *Organizer) monitorBody() {
 	renegotiate := false
 	if len(failed) > 0 {
 		o.Failures += len(failed)
-		for n := range failed {
-			delete(o.lastHB, n)
-		}
+		o.lastHB = slices.DeleteFunc(o.lastHB, func(h heard) bool { return failed[h.node] })
 		if o.cfg.Reconfigure {
 			o.Reconfigurations++
 			o.round++
@@ -797,7 +824,7 @@ func (o *Organizer) ApplyAdaptation(taskID string, a Assignment3) bool {
 	// The (possibly new) serving node is live by construction; refresh
 	// its liveness stamp so an enabled monitor does not instantly declare
 	// a freshly migrated member silent.
-	o.lastHB[a.Node] = o.tm.Now()
+	o.stamp(a.Node, o.tm.Now())
 	return true
 }
 

@@ -95,6 +95,7 @@ type serviceState struct {
 	reservations map[string]reservationEntry // task -> firm reservation
 	running      map[string]bool             // task -> data received
 	hbActive     bool
+	released     bool             // ReleaseService dropped this state; its loop stops
 	hbTick       func()           // persistent heartbeat closure, built once
 	hbMsg        *proto.Heartbeat // reused message (simTransport only)
 	hbTasks      []string         // running's keys, sorted; rebuilt when hbStale
@@ -416,24 +417,21 @@ func (p *Provider) armHeartbeatLocked(svc string, st *serviceState) func() {
 	}
 	st.hbActive = true
 	if st.hbTick == nil {
-		// One closure per service for its whole life, not one per tick.
-		st.hbTick = func() { p.heartbeatTick(svc) }
+		// One closure per service state for its whole life, not one per
+		// tick; it holds the state, so a tick looks nothing up by name.
+		st.hbTick = func() { p.heartbeatTick(svc, st) }
 	}
 	return st.hbTick
 }
 
-// heartbeatTick sends one heartbeat and re-arms, send before timer. The
-// state is looked up by name on every tick: a service released and formed
-// again under the same ID keeps being served by the loop already running.
-// Its hbTick is set by then: a task is only ever marked running in the
-// lock section that arms the loop.
-func (p *Provider) heartbeatTick(svc string) {
+// heartbeatTick sends one heartbeat for st and re-arms, send before
+// timer. The loop belongs to st alone: once ReleaseService has dropped
+// st it stops, and a service formed again under the same ID runs the
+// loop its new state arms.
+func (p *Provider) heartbeatTick(svc string, st *serviceState) {
 	p.mu.Lock()
-	st, ok := p.services[svc]
-	if !ok || p.down || len(st.running) == 0 {
-		if ok {
-			st.hbActive = false
-		}
+	if st.released || p.down || len(st.running) == 0 {
+		st.hbActive = false
 		p.mu.Unlock()
 		return
 	}
@@ -592,6 +590,7 @@ func (p *Provider) ReleaseService(svc string) {
 	p.mu.Lock()
 	st, ok := p.services[svc]
 	if ok {
+		st.released = true
 		delete(p.services, svc)
 	}
 	for key := range p.offers {

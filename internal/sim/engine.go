@@ -1,16 +1,24 @@
 // Package sim is a deterministic discrete-event simulation engine: a
-// virtual clock, a binary-heap event queue with stable FIFO ordering for
-// simultaneous events, and a seeded random source. All experiment tables
-// in this repository are produced on this engine so that every number is
-// reproducible from a seed.
+// virtual clock, an event queue that pops in (time, schedule sequence)
+// order — stable FIFO for simultaneous events — and a seeded random
+// source. All experiment tables in this repository are produced on this
+// engine so that every number is reproducible from a seed.
 //
-// The queue is allocation-free on the hot path: events are values in a
-// manually managed binary heap (no container/heap interface boxing, no
-// per-event pointer), and the AtArg/AfterArg variants let callers
-// schedule a shared handler with a pooled argument object instead of
-// allocating a fresh closure per event. Run applies events in per-tick
-// batches drained into a reused buffer, so every event sharing one
-// timestamp is executed in one pass over the heap.
+// The queue is allocation-free on the hot path and has two parts:
+//
+//   - a 4-ary heap of small {at, seq, ref} keys, sifted by moving a hole
+//     rather than swapping, whose payloads (the closure, or the shared
+//     handler and its argument) sit in a free-listed slab;
+//   - a few timer lanes: an After call goes into a FIFO lane for its
+//     exact delay. Every key in a lane was scheduled at now+d for the
+//     same d, so the lane is already sorted and re-arming a periodic
+//     timer is an append. A delay that finds no lane goes to the heap.
+//
+// Pop takes the least key over the heap head and the lane heads, so the
+// order is the same total order a single heap would give. The
+// AtArg/AfterArg variants let callers schedule a shared handler with a
+// pooled argument object instead of allocating a fresh closure per
+// event.
 package sim
 
 import (
@@ -21,32 +29,70 @@ import (
 // Time is simulated time in seconds since the start of the run.
 type Time = float64
 
-// Event is a scheduled callback: either a plain closure (fn) or a shared
-// handler plus argument (afn, arg). Exactly one of fn/afn is set.
-type event struct {
+// key orders one queued event; ref indexes its payload in the slab.
+type key struct {
 	at  Time
 	seq uint64
+	ref int32
+}
+
+func (k key) less(o key) bool {
+	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
+}
+
+// payload is a scheduled callback: either a plain closure (fn) or a
+// shared handler plus argument (afn, arg). Exactly one of fn/afn is set.
+type payload struct {
 	fn  func()
 	afn func(any)
 	arg any
 }
 
-func (ev *event) run() {
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	ev.afn(ev.arg)
+// laneCount is how many distinct After delays are queued in lanes at
+// once; the simulator's periodic timers use two or three.
+const laneCount = 4
+
+// lane is a FIFO ring of keys that all share the delay d. It is free
+// (and may take another delay) when n is 0.
+type lane struct {
+	d       float64
+	buf     []key // ring; len is 0 or a power of two
+	head, n int
 }
+
+func (l *lane) push(k key) {
+	if l.n == len(l.buf) {
+		grown := make([]key, max(8, 2*len(l.buf)))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+		}
+		l.buf, l.head = grown, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = k
+	l.n++
+}
+
+func (l *lane) pop() {
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+}
+
+// Sources of the least queued key, as returned by peek.
+const (
+	fromNone = -2
+	fromHeap = -1
+)
 
 // Engine drives a single-threaded simulation. It is intentionally not
 // safe for concurrent use: determinism comes from the single event loop.
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []event
-	batch   []event // reused per-tick batch buffer
-	nbatch  int     // batch entries not yet executed (for Pending)
+	heap    []key
+	lanes   [laneCount]lane
+	queued  int // keys in the heap and the lanes
+	slab    []payload
+	free    []int32 // unused slab slots
 	rng     *rand.Rand
 	stopped bool
 
@@ -68,11 +114,8 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // At schedules fn at absolute time t. Scheduling in the past panics: it
 // is always a logic error in the caller.
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	e.checkAt(t)
+	e.heapPush(e.keyFor(t, payload{fn: fn}))
 }
 
 // AtArg schedules the shared handler fn with arg at absolute time t.
@@ -81,23 +124,40 @@ func (e *Engine) At(t Time, fn func()) {
 // (typically pooled) argument instead. Ordering and semantics are
 // identical to At.
 func (e *Engine) AtArg(t Time, fn func(any), arg any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, afn: fn, arg: arg})
+	e.checkAt(t)
+	e.heapPush(e.keyFor(t, payload{afn: fn, arg: arg}))
 }
 
 // After schedules fn d seconds from now; negative delays clamp to zero.
+// It is the call periodic timers make, so it alone is queued in a lane.
 func (e *Engine) After(d float64, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.At(e.now+d, fn)
+	k := e.keyFor(e.now+d, payload{fn: fn})
+	free := -1
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.n == 0 {
+			if free < 0 {
+				free = i
+			}
+		} else if l.d == d {
+			l.push(k)
+			return
+		}
+	}
+	if free < 0 {
+		e.heapPush(k)
+		return
+	}
+	e.lanes[free].d = d
+	e.lanes[free].push(k)
 }
 
 // AfterArg schedules the shared handler fn with arg d seconds from now;
-// negative delays clamp to zero.
+// negative delays clamp to zero. Its callers (radio deliveries, session
+// departures) use many distinct delays, so it stays on the heap.
 func (e *Engine) AfterArg(d float64, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
@@ -108,112 +168,149 @@ func (e *Engine) AfterArg(d float64, fn func(any), arg any) {
 // Stop makes Run return after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// less orders events by (time, schedule sequence): stable FIFO for
-// simultaneous events.
-func (e *Engine) less(i, j int) bool {
-	if e.heap[i].at != e.heap[j].at {
-		return e.heap[i].at < e.heap[j].at
+func (e *Engine) checkAt(t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
-	return e.heap[i].seq < e.heap[j].seq
 }
 
-// push inserts ev into the value heap (sift-up).
-func (e *Engine) push(ev event) {
-	e.heap = append(e.heap, ev)
-	i := len(e.heap) - 1
+// keyFor stores p in the slab and returns its key at time t with the
+// next schedule sequence.
+func (e *Engine) keyFor(t Time, p payload) key {
+	var ref int32
+	if n := len(e.free); n > 0 {
+		ref = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slab[ref] = p
+	} else {
+		ref = int32(len(e.slab))
+		e.slab = append(e.slab, p)
+	}
+	e.seq++
+	e.queued++
+	return key{at: t, seq: e.seq, ref: ref}
+}
+
+// heapPush inserts k into the 4-ary heap, moving the hole up from the
+// end instead of swapping.
+func (e *Engine) heapPush(k key) {
+	e.heap = append(e.heap, k)
+	h := e.heap
+	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
+		p := (i - 1) / 4
+		if !k.less(h[p]) {
 			break
 		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = k
 }
 
-// pop removes and returns the minimum event (sift-down).
-func (e *Engine) pop() event {
+// heapPop removes the heap's least key, moving the hole down from the
+// root to where the last key fits.
+func (e *Engine) heapPop() {
 	h := e.heap
-	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release fn/arg references
-	e.heap = h[:n]
+	last := h[n]
+	h = h[:n]
+	e.heap = h
+	if n == 0 {
+		return
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		min := l
-		if r < n && e.less(r, l) {
-			min = r
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].less(h[m]) {
+				m = j
+			}
 		}
-		if !e.less(min, i) {
+		if !h[m].less(last) {
 			break
 		}
-		e.heap[i], e.heap[min] = e.heap[min], e.heap[i]
-		i = min
+		h[i] = h[m]
+		i = m
 	}
-	return top
+	h[i] = last
+}
+
+// peek returns the least queued key and where it sits: fromHeap, a lane
+// index, or fromNone when nothing is queued.
+func (e *Engine) peek() (key, int) {
+	var k key
+	src := fromNone
+	if len(e.heap) > 0 {
+		k, src = e.heap[0], fromHeap
+	}
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		if lk := l.buf[l.head]; src == fromNone || lk.less(k) {
+			k, src = lk, i
+		}
+	}
+	return k, src
+}
+
+// fire dequeues k from src, advances the clock to it and runs it.
+func (e *Engine) fire(k key, src int) {
+	if src == fromHeap {
+		e.heapPop()
+	} else {
+		e.lanes[src].pop()
+	}
+	e.queued--
+	p := e.slab[k.ref]
+	e.slab[k.ref] = payload{} // release fn/arg references
+	e.free = append(e.free, k.ref)
+	e.now = k.at
+	e.Processed++
+	if p.fn != nil {
+		p.fn()
+		return
+	}
+	p.afn(p.arg)
 }
 
 // Step executes the next event, returning false when the queue is empty
 // or the engine is stopped.
 func (e *Engine) Step() bool {
-	if e.stopped || len(e.heap) == 0 {
+	if e.stopped {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
-	e.Processed++
-	ev.run()
+	k, src := e.peek()
+	if src == fromNone {
+		return false
+	}
+	e.fire(k, src)
 	return true
 }
 
 // Run executes events until the queue drains, Stop is called, or the
 // clock passes until (until <= 0 means no horizon). It returns the final
 // simulated time.
-//
-// Events are applied in per-tick batches: every event sharing the head
-// timestamp is drained into a reused buffer and executed in schedule
-// order in one pass, so simultaneous arrivals/departures/timers share a
-// single heap drain. Events scheduled during a batch at the same
-// timestamp carry higher sequence numbers and run in the next batch —
-// exactly the (time, sequence) order of one-at-a-time stepping.
 func (e *Engine) Run(until Time) Time {
-	for !e.stopped && len(e.heap) > 0 {
-		next := e.heap[0].at
-		if until > 0 && next > until {
+	for !e.stopped {
+		k, src := e.peek()
+		if src == fromNone {
+			break
+		}
+		if until > 0 && k.at > until {
 			e.now = until
 			break
 		}
-		// Drain the tick's batch; pop order is ascending (at, seq).
-		e.batch = e.batch[:0]
-		for len(e.heap) > 0 && e.heap[0].at == next {
-			e.batch = append(e.batch, e.pop())
-		}
-		e.now = next
-		e.nbatch = len(e.batch)
-		for i := range e.batch {
-			if e.stopped {
-				// Reinsert the unexecuted tail so Stop leaves the queue
-				// exactly as one-at-a-time stepping would.
-				for j := i; j < len(e.batch); j++ {
-					e.push(e.batch[j])
-				}
-				break
-			}
-			e.Processed++
-			e.nbatch--
-			e.batch[i].run()
-			e.batch[i] = event{} // release fn/arg references
-		}
-		e.nbatch = 0
+		e.fire(k, src)
 	}
 	return e.now
 }
 
-// Pending returns the number of queued events, including any events of
-// the current tick's batch that have not yet executed.
-func (e *Engine) Pending() int { return len(e.heap) + e.nbatch }
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return e.queued }
