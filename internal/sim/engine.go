@@ -90,7 +90,6 @@ type Engine struct {
 	seq     uint64
 	heap    []key
 	lanes   [laneCount]lane
-	queued  int // keys in the heap and the lanes
 	slab    []payload
 	free    []int32 // unused slab slots
 	rng     *rand.Rand
@@ -187,7 +186,6 @@ func (e *Engine) keyFor(t Time, p payload) key {
 		e.slab = append(e.slab, p)
 	}
 	e.seq++
-	e.queued++
 	return key{at: t, seq: e.seq, ref: ref}
 }
 
@@ -267,7 +265,6 @@ func (e *Engine) fire(k key, src int) {
 	} else {
 		e.lanes[src].pop()
 	}
-	e.queued--
 	p := e.slab[k.ref]
 	e.slab[k.ref] = payload{} // release fn/arg references
 	e.free = append(e.free, k.ref)
@@ -313,4 +310,10 @@ func (e *Engine) Run(until Time) Time {
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.queued }
+func (e *Engine) Pending() int {
+	n := len(e.heap)
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
+}
