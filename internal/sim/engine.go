@@ -48,8 +48,9 @@ type payload struct {
 	arg any
 }
 
-// laneCount is how many distinct After delays are queued in lanes at
-// once; the simulator's periodic timers use two or three.
+// laneCount is how many distinct After delays hold lanes at once. The
+// protocol's own timers use three: round windows, heartbeats and
+// monitor ticks; proposal holds and retransmissions take what is left.
 const laneCount = 4
 
 // lane is a FIFO ring of keys that all share the delay d. It is free
