@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,7 +90,7 @@ func TestRunServesAndStops(t *testing.T) {
 	if err := client.Dial(radio.NodeID(1), addr); err != nil {
 		t.Fatalf("dialing daemon: %v", err)
 	}
-	if _, ok := client.PeerLink(1); !ok {
+	if math.IsInf(client.CommCost(1, 64), 1) {
 		t.Error("handshake did not populate the peer directory")
 	}
 

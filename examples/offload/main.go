@@ -59,7 +59,7 @@ func main() {
 
 	// --- offline baselines on an identical snapshot ---
 	problem := func() *baseline.Problem {
-		p := &baseline.Problem{Service: svc, Organizer: 0, GridSteps: qos.DefaultGridSteps}
+		p := &baseline.Problem{Service: svc, Organizer: 0}
 		for i, prof := range profiles {
 			p.Nodes = append(p.Nodes, baseline.NodeView{
 				ID: radio.NodeID(i), Res: resource.NewSet(prof.Capacity),

@@ -70,10 +70,6 @@ type Config struct {
 	// PressureEvery is the utilisation check period in simulated
 	// seconds (default 1).
 	PressureEvery float64
-	// GridSteps must match the providers' ladder discretization so
-	// admission-time levels re-anchor exactly onto the compiled ladder
-	// (default qos.DefaultGridSteps, the provider default).
-	GridSteps int
 }
 
 // withDefaults normalizes zero values.
@@ -89,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PressureEvery <= 0 {
 		c.PressureEvery = 1
-	}
-	if c.GridSteps <= 0 {
-		c.GridSteps = qos.DefaultGridSteps
 	}
 	return c
 }
@@ -319,7 +312,7 @@ func (e *Engine) compileFor(svc *task.Service, t *task.Task) (*core.CompiledProb
 		return nil, fmt.Errorf("adapt: demand reference %q not in catalog", ref)
 	}
 	entry := &compiledEntry{req: t.Request}
-	cp, err := core.CompileProblem(svc.Spec, &entry.req, dm, e.cfg.GridSteps, nil)
+	cp, err := core.CompileProblem(svc.Spec, &entry.req, dm, qos.DefaultGridSteps, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +364,7 @@ func (e *Engine) Admit(now float64, orgNode radio.NodeID, org *core.Organizer, c
 		}
 		pos, err := pathPos(cp, a3.Level)
 		if err != nil {
-			return fmt.Errorf("adapt: session %s task %s: %w (provider GridSteps mismatch?)", svc.ID, t.ID, err)
+			return fmt.Errorf("adapt: session %s task %s: %w", svc.ID, t.ID, err)
 		}
 		ts := e.getTaskState()
 		ts.t, ts.cp, ts.node, ts.comm = t, cp, a3.Node, a3.CommCost

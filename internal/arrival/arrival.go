@@ -54,19 +54,6 @@ type RateProfile interface {
 	MeanRate() float64
 }
 
-// Const is the constant-rate profile; thinning over it degenerates to a
-// homogeneous Poisson process (every candidate is accepted).
-type Const float64
-
-// Rate implements RateProfile.
-func (c Const) Rate(float64) float64 { return float64(c) }
-
-// MaxRate implements RateProfile.
-func (c Const) MaxRate() float64 { return float64(c) }
-
-// MeanRate implements RateProfile.
-func (c Const) MeanRate() float64 { return float64(c) }
-
 // Diurnal is the sinusoidal day/night profile
 //
 //	lambda(t) = Mean * (1 + Amplitude*sin(2*pi*(t+Phase)/Period))
@@ -190,13 +177,13 @@ func (p Inhomogeneous) Next(now float64, rng *rand.Rand) float64 {
 
 // MMPP is a two-state (on/off) Markov-modulated Poisson process:
 // arrivals come at OnRate while the modulating chain is in the on phase
-// and at OffRate (usually 0) in the off phase; phases last exponential
-// times with means MeanOn and MeanOff. It produces burstier streams
-// than any deterministic profile at the same mean rate. The zero value
-// of the phase state starts on; step it with non-decreasing now values
-// from a single replication.
+// and not at all in the off phase; phases last exponential times with
+// means MeanOn and MeanOff. It produces burstier streams than any
+// deterministic profile at the same mean rate. The zero value of the
+// phase state starts on; step it with non-decreasing now values from a
+// single replication.
 type MMPP struct {
-	OnRate, OffRate float64
+	OnRate          float64
 	MeanOn, MeanOff float64
 
 	init     bool
@@ -210,7 +197,7 @@ func (m *MMPP) MeanRate() float64 {
 	if total <= 0 {
 		return 0
 	}
-	return (m.OnRate*m.MeanOn + m.OffRate*m.MeanOff) / total
+	return m.OnRate * m.MeanOn / total
 }
 
 // Next implements Process. Within a phase the arrival stream is
@@ -228,12 +215,8 @@ func (m *MMPP) Next(now float64, rng *rand.Rand) float64 {
 	}
 	t := now
 	for i := 0; i < maxThinningRejects; i++ {
-		rate := m.OffRate
-		if m.on {
-			rate = m.OnRate
-		}
-		if rate > 0 {
-			cand := t + rng.ExpFloat64()/rate
+		if m.on && m.OnRate > 0 {
+			cand := t + rng.ExpFloat64()/m.OnRate
 			if cand <= m.phaseEnd {
 				return cand
 			}
@@ -247,18 +230,4 @@ func (m *MMPP) Next(now float64, rng *rand.Rand) float64 {
 		}
 	}
 	return math.Inf(1)
-}
-
-// Times materializes every arrival in [0, horizon): a convenience for
-// tests and for experiments that want the whole schedule up front.
-func Times(p Process, horizon float64, rng *rand.Rand) []float64 {
-	var out []float64
-	t := 0.0
-	for {
-		t = p.Next(t, rng)
-		if math.IsInf(t, 1) || t >= horizon {
-			return out
-		}
-		out = append(out, t)
-	}
 }

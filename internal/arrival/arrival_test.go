@@ -9,6 +9,20 @@ import (
 
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// ksExp1 is the Kolmogorov-Smirnov statistic of gaps against the Exp(1)
+// CDF, scaled by sqrt(n): 1.63 is its 1% critical value. It sorts gaps.
+func ksExp1(gaps []float64) float64 {
+	sort.Float64s(gaps)
+	n := float64(len(gaps))
+	var worst float64
+	for i, g := range gaps {
+		cdf := 1 - math.Exp(-g)
+		d := math.Max(math.Abs(cdf-float64(i)/n), math.Abs(cdf-float64(i+1)/n))
+		worst = math.Max(worst, d)
+	}
+	return worst * math.Sqrt(n)
+}
+
 // TestPoissonInterArrivalKS is a Kolmogorov-Smirnov-style sanity check:
 // the empirical CDF of homogeneous inter-arrival times must track the
 // exponential CDF at the configured rate. With n = 2000 the 1% KS
@@ -23,22 +37,54 @@ func TestPoissonInterArrivalKS(t *testing.T) {
 	now := 0.0
 	for i := 0; i < n; i++ {
 		next := p.Next(now, r)
-		gaps = append(gaps, next-now)
+		gaps = append(gaps, rate*(next-now))
 		now = next
 	}
-	sort.Float64s(gaps)
-	var worst float64
-	for i, g := range gaps {
-		cdf := 1 - math.Exp(-rate*g)
-		lo := float64(i) / n
-		hi := float64(i+1) / n
-		d := math.Max(math.Abs(cdf-lo), math.Abs(cdf-hi))
-		if d > worst {
-			worst = d
-		}
+	if d := ksExp1(gaps); d > 1.63 {
+		t.Errorf("sqrt(n)*KS statistic %.3f exceeds the 1%% critical value 1.63", d)
 	}
-	if worst > 1.63/math.Sqrt(n) {
-		t.Errorf("KS statistic %.4f exceeds the 1%% critical value %.4f", worst, 1.63/math.Sqrt(n))
+}
+
+// TestThinningByTimeRescaling checks the whole distribution of an
+// inhomogeneous stream, not just its window counts: by the
+// time-rescaling theorem the gaps Lambda(t_i) - Lambda(t_i-1) of a
+// Poisson process with cumulative rate Lambda are i.i.d. Exp(1). Lambda
+// is the closed-form integral of each profile.
+func TestThinningByTimeRescaling(t *testing.T) {
+	diurnal := Diurnal{Mean: 1, Amplitude: 0.8, Period: 200}
+	burst := Burst{Base: 0.5, Burst: 5, Period: 100, BurstLen: 20}
+	cases := []struct {
+		name    string
+		profile RateProfile
+		horizon float64
+		lambda  func(t float64) float64
+	}{
+		{"diurnal", diurnal, 4000, func(t float64) float64 {
+			w := 2 * math.Pi / diurnal.Period
+			return diurnal.Mean * (t + diurnal.Amplitude/w*(1-math.Cos(w*t)))
+		}},
+		{"burst", burst, 2000, func(t float64) float64 {
+			cycles := math.Floor(t / burst.Period)
+			phase := t - cycles*burst.Period
+			in := math.Min(phase, burst.BurstLen)
+			perCycle := burst.Burst*burst.BurstLen + burst.Base*(burst.Period-burst.BurstLen)
+			return cycles*perCycle + burst.Burst*in + burst.Base*(phase-in)
+		}},
+	}
+	for _, c := range cases {
+		for seed := int64(1); seed <= 5; seed++ {
+			var gaps []float64
+			prev := 0.0
+			for _, at := range Times(Inhomogeneous{Profile: c.profile}, c.horizon, rng(seed)) {
+				gaps = append(gaps, c.lambda(at)-prev)
+				prev = c.lambda(at)
+			}
+			d := ksExp1(gaps)
+			t.Logf("%s seed %d: n = %d, sqrt(n)*D = %.3f", c.name, seed, len(gaps), d)
+			if d > 1.63 {
+				t.Errorf("%s seed %d: rescaled gaps are not Exp(1): sqrt(n)*D = %.3f > 1.63 (1%% level)", c.name, seed, d)
+			}
+		}
 	}
 }
 
@@ -198,5 +244,31 @@ func TestMonotoneAndEqualMeanCalibration(t *testing.T) {
 	m := &MMPP{OnRate: mean * 3, MeanOn: 200, MeanOff: 400}
 	if math.Abs(m.MeanRate()-mean) > 1e-12 {
 		t.Errorf("MMPP MeanRate = %g, want %g", m.MeanRate(), mean)
+	}
+}
+
+// Const is the constant-rate profile; thinning over it degenerates to a
+// homogeneous Poisson process (every candidate is accepted).
+type Const float64
+
+// Rate implements RateProfile.
+func (c Const) Rate(float64) float64 { return float64(c) }
+
+// MaxRate implements RateProfile.
+func (c Const) MaxRate() float64 { return float64(c) }
+
+// MeanRate implements RateProfile.
+func (c Const) MeanRate() float64 { return float64(c) }
+
+// Times materializes every arrival in [0, horizon).
+func Times(p Process, horizon float64, rng *rand.Rand) []float64 {
+	var out []float64
+	t := 0.0
+	for {
+		t = p.Next(t, rng)
+		if math.IsInf(t, 1) || t >= horizon {
+			return out
+		}
+		out = append(out, t)
 	}
 }

@@ -49,8 +49,6 @@ type Problem struct {
 	// Organizer indexes into Nodes: the requesting node.
 	Organizer radio.NodeID
 	Nodes     []NodeView
-	// GridSteps mirrors the provider configuration.
-	GridSteps int
 }
 
 // TaskAlloc is one task's outcome.
@@ -67,9 +65,6 @@ type Allocation struct {
 	Assigned []TaskAlloc
 	Unserved []string
 }
-
-// Complete reports whether every task was served.
-func (a *Allocation) Complete() bool { return len(a.Unserved) == 0 }
 
 // Equal reports whether two allocations are identical: same assignment
 // order, same task->node placements with bit-equal distances and
@@ -130,7 +125,7 @@ func evaluatorFor(p *Problem, t *task.Task) (*qos.Evaluator, error) {
 // compileTask compiles one task's formulation problem; allocators do it
 // once per task and formulate against as many nodes as they probe.
 func compileTask(p *Problem, t *task.Task) (*core.CompiledProblem, error) {
-	return core.CompileProblem(p.Service.Spec, &t.Request, t.Demand, p.GridSteps, nil)
+	return core.CompileProblem(p.Service.Spec, &t.Request, t.Demand, qos.DefaultGridSteps, nil)
 }
 
 // formulateOn runs the provider-side heuristic for a task against one
@@ -662,8 +657,8 @@ func taskIDs(p *Problem) []string {
 // SnapshotProblem builds a Problem from a live cluster: each node's
 // current availability becomes an independent scratch resource set, so
 // allocations never disturb the cluster.
-func SnapshotProblem(svc *task.Service, organizer radio.NodeID, nodes map[radio.NodeID]*resource.Set, comm func(radio.NodeID) float64, gridSteps int) *Problem {
-	p := &Problem{Service: svc, Organizer: organizer, GridSteps: gridSteps}
+func SnapshotProblem(svc *task.Service, organizer radio.NodeID, nodes map[radio.NodeID]*resource.Set, comm func(radio.NodeID) float64) *Problem {
+	p := &Problem{Service: svc, Organizer: organizer}
 	ids := make([]radio.NodeID, 0, len(nodes))
 	for id := range nodes {
 		ids = append(ids, id)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/qos"
 	"repro/internal/radio"
 	"repro/internal/resource"
 	"repro/internal/task"
@@ -15,7 +14,7 @@ import (
 // node 0 is the organizer.
 func problemWith(tasks int, scale float64, caps ...resource.Vector) *Problem {
 	svc := workload.StreamService("b", tasks, scale)
-	p := &Problem{Service: svc, Organizer: 0, GridSteps: qos.DefaultGridSteps}
+	p := &Problem{Service: svc, Organizer: 0}
 	for i, c := range caps {
 		p.Nodes = append(p.Nodes, NodeView{
 			ID: radio.NodeID(i), Res: resource.NewSet(c), CommCost: float64(i) * 0.1,
@@ -34,7 +33,7 @@ func TestLocalOnlyServesOnOrganizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Complete() || a.Assigned[0].Node != 0 {
+	if len(a.Unserved) != 0 || a.Assigned[0].Node != 0 {
 		t.Fatalf("local-only must serve on node 0: %+v", a)
 	}
 }
@@ -45,11 +44,8 @@ func TestLocalOnlyFailsWhenOrganizerWeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Complete() {
-		t.Error("a phone must not serve 4 heavy video tasks")
-	}
 	if len(a.Unserved) == 0 {
-		t.Error("unserved must be reported")
+		t.Error("a phone must not serve 4 heavy video tasks")
 	}
 	// Organizer absent from the node list is an error.
 	p2 := problemWith(1, 1, phoneCap())
@@ -67,7 +63,7 @@ func TestGreedyFirstFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Complete() {
+	if len(a.Unserved) != 0 {
 		t.Fatalf("greedy failed: %+v", a)
 	}
 	if a.Assigned[0].Node != 0 {
@@ -175,7 +171,7 @@ func TestOptimalHandlesEnumeratorIntractable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bnb failed on the same instance: %v", err)
 	}
-	if !a.Complete() {
+	if len(a.Unserved) != 0 {
 		t.Errorf("30 strong nodes must serve 4 tasks: %+v", a)
 	}
 	if explored <= 0 || explored > 10_000 {
@@ -192,7 +188,7 @@ func TestAllocationAggregates(t *testing.T) {
 		},
 		Unserved: []string{"d"},
 	}
-	if a.Complete() {
+	if len(a.Unserved) == 0 {
 		t.Error("Complete with unserved")
 	}
 	if got := a.MeanDistance(); got < 0.2-1e-12 || got > 0.2+1e-12 {
@@ -202,7 +198,7 @@ func TestAllocationAggregates(t *testing.T) {
 		t.Errorf("Members = %d", a.Members())
 	}
 	empty := &Allocation{}
-	if empty.MeanDistance() != 0 || empty.Members() != 0 || !empty.Complete() {
+	if empty.MeanDistance() != 0 || empty.Members() != 0 || len(empty.Unserved) != 0 {
 		t.Error("empty allocation aggregates")
 	}
 }
@@ -239,7 +235,7 @@ func TestSnapshotProblem(t *testing.T) {
 		2: resource.NewSet(laptopCap()),
 		0: resource.NewSet(phoneCap()),
 	}
-	p := SnapshotProblem(svc, 0, nodes, func(id radio.NodeID) float64 { return float64(id) }, 4)
+	p := SnapshotProblem(svc, 0, nodes, func(id radio.NodeID) float64 { return float64(id) })
 	if len(p.Nodes) != 2 || p.Nodes[0].ID != 0 || p.Nodes[1].ID != 2 {
 		t.Fatalf("nodes = %+v, want sorted", p.Nodes)
 	}

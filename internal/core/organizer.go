@@ -41,10 +41,6 @@ type OrganizerConfig struct {
 	// failure (the paper's operation-phase "coalition reconfiguration
 	// due to partial failures").
 	Reconfigure bool
-	// ImproveEps is the minimum distance improvement that justifies
-	// migrating an already-served task during a TryImprove round
-	// (Section 4's run-time adaptation). Zero selects 0.05.
-	ImproveEps float64
 	// Trace receives protocol events (nil = no tracing).
 	Trace trace.Tracer
 }
@@ -59,6 +55,11 @@ var DefaultOrganizerConfig = OrganizerConfig{
 	HeartbeatTimeout: 2.0,
 	Reconfigure:      true,
 }
+
+// improveEps is the minimum distance improvement that justifies migrating
+// an already-served task during a TryImprove round (Section 4's run-time
+// adaptation).
+const improveEps = 0.05
 
 // CoalitionState is the life-cycle phase of Section 4.
 type CoalitionState int
@@ -527,7 +528,7 @@ func (o *Organizer) onAwardAck(from radio.NodeID, m *proto.AwardAck) {
 
 // TryImprove starts a quality-upgrade renegotiation for the operating
 // coalition: a fresh CFP over all currently served tasks; a task
-// migrates only when some node now offers a level at least ImproveEps
+// migrates only when some node now offers a level at least improveEps
 // closer to the user's preferences than the current one. This realizes
 // the paper's Section 4 run-time adaptation ("applications ... can
 // dynamically change the executing quality level"). It is a no-op
@@ -580,7 +581,7 @@ func (o *Organizer) TryImprove() {
 
 // closeImprove selects migration targets: the best fresh proposal per
 // served task, accepted only when it beats the current distance by
-// ImproveEps, never from the node already serving the task.
+// improveEps, never from the node already serving the task.
 func (o *Organizer) closeImprove(round int) {
 	o.mu.Lock()
 	if o.state == Dissolved || round != o.round || !o.collect {
@@ -588,10 +589,6 @@ func (o *Organizer) closeImprove(round int) {
 		return
 	}
 	o.collect = false
-	eps := o.cfg.ImproveEps
-	if eps <= 0 {
-		eps = 0.05
-	}
 	used := make(budget)
 	byNode := make(map[radio.NodeID][]string)
 	for i := range o.tasks {
@@ -606,7 +603,7 @@ func (o *Organizer) closeImprove(round int) {
 			return candidateLess(ordered[i], ordered[j], o.cfg.Policy)
 		})
 		for _, c := range ordered {
-			if c.Node == cur.Node || c.Distance > cur.Distance-eps || !used.fits(c) {
+			if c.Node == cur.Node || c.Distance > cur.Distance-improveEps || !used.fits(c) {
 				continue
 			}
 			used.take(c)
@@ -869,9 +866,4 @@ func (o *Organizer) Snapshot() map[string]Assignment3 {
 		}
 	}
 	return out
-}
-
-// describe is kept for error paths needing a service summary.
-func (o *Organizer) describe() string {
-	return fmt.Sprintf("service %q (%d tasks)", o.svc.ID, len(o.svc.Tasks))
 }

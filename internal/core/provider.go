@@ -16,8 +16,6 @@ import (
 
 // ProviderConfig tunes a node's QoS Provider.
 type ProviderConfig struct {
-	// GridSteps discretizes continuous accepted spans (qos.BuildLadder).
-	GridSteps int
 	// Hold makes proposals tentatively reserve their demand until
 	// HoldTimeout expires or an award converts them. Without holds a
 	// provider may over-promise across concurrent negotiations and
@@ -41,7 +39,6 @@ type ProviderConfig struct {
 
 // DefaultProviderConfig is the configuration used by the experiments.
 var DefaultProviderConfig = ProviderConfig{
-	GridSteps:      qos.DefaultGridSteps,
 	HoldTimeout:    2.0,
 	HeartbeatEvery: 0.5,
 }
@@ -139,9 +136,6 @@ type Provider struct {
 // NewProvider wires a provider to its node's resources, the shared
 // catalog, and a transport/timer pair.
 func NewProvider(id radio.NodeID, res *resource.Set, cat *Catalog, tr proto.Transport, tm proto.Timers, cfg ProviderConfig) *Provider {
-	if cfg.GridSteps <= 0 {
-		cfg.GridSteps = qos.DefaultGridSteps
-	}
 	if cfg.Trace == nil {
 		cfg.Trace = trace.Nop{}
 	}
@@ -274,7 +268,7 @@ func (p *Provider) compileFor(specName, ref string, spec *qos.Spec, req *qos.Req
 		return e, nil
 	}
 	e = &compiledEntry{req: *req}
-	cp, err := CompileProblem(spec, &e.req, dm, p.cfg.GridSteps, nil)
+	cp, err := CompileProblem(spec, &e.req, dm, qos.DefaultGridSteps, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -63,10 +63,6 @@ type SelectionPolicy struct {
 // distance tolerance.
 var DefaultPolicy = SelectionPolicy{DistanceEps: 0.05, UseCommCost: true, Consolidate: true}
 
-// DistanceOnlyPolicy applies only criterion (a); used by the ablation
-// experiment E6.
-var DistanceOnlyPolicy = SelectionPolicy{}
-
 // Assignment3 is the selected allocation for one task.
 type Assignment3 struct {
 	TaskID   string
@@ -82,38 +78,6 @@ type Selection struct {
 	// Unserved lists tasks with no admissible proposal (or whose
 	// proposers ran out of hinted capacity this round; they renegotiate).
 	Unserved []string
-}
-
-// Members returns the distinct winning nodes, ascending.
-func (s *Selection) Members() []radio.NodeID {
-	seen := make(map[radio.NodeID]bool)
-	var out []radio.NodeID
-	for _, a := range s.Assigned {
-		if !seen[a.Node] {
-			seen[a.Node] = true
-			out = append(out, a.Node)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// TotalDistance sums the assigned evaluation values.
-func (s *Selection) TotalDistance() float64 {
-	var t float64
-	for _, a := range s.Assigned {
-		t += a.Distance
-	}
-	return t
-}
-
-// TotalCommCost sums the assigned communication costs.
-func (s *Selection) TotalCommCost() float64 {
-	var t float64
-	for _, a := range s.Assigned {
-		t += a.CommCost
-	}
-	return t
 }
 
 // budget tracks per-node packed capacity during selection.

@@ -122,8 +122,8 @@ func TestConsolidateShrinksMembersOnAverage(t *testing.T) {
 		tasks, cands := genProblem(seed)
 		plain := SelectWinners(tasks, cands, SelectionPolicy{DistanceEps: 0.05, UseCommCost: true})
 		cons := SelectWinners(tasks, cands, SelectionPolicy{DistanceEps: 0.05, UseCommCost: true, Consolidate: true})
-		plainMembers += len(plain.Members())
-		consMembers += len(cons.Members())
+		plainMembers += len(members(plain))
+		consMembers += len(members(cons))
 		plainServed += len(plain.Assigned)
 		consServed += len(cons.Assigned)
 	}

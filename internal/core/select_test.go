@@ -1,12 +1,27 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/qos"
 	"repro/internal/radio"
 	"repro/internal/resource"
 )
+
+// members returns the distinct winning nodes, ascending.
+func members(s *Selection) []radio.NodeID {
+	seen := make(map[radio.NodeID]bool)
+	var out []radio.NodeID
+	for _, a := range s.Assigned {
+		if !seen[a.Node] {
+			seen[a.Node] = true
+			out = append(out, a.Node)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
 
 func TestCopiesFor(t *testing.T) {
 	avail := resource.V(resource.KV{K: resource.CPU, A: 100}, resource.KV{K: resource.Memory, A: 35})
@@ -73,15 +88,15 @@ func TestSelectConsolidationPacksMembers(t *testing.T) {
 		"t2": {cand(3, "t2", 0, 0.1, 1), cand(5, "t2", 0, 0.2, 3)},
 	}
 	sel := SelectWinners(tasks, cands, SelectionPolicy{DistanceEps: 0.05, UseCommCost: true, Consolidate: true})
-	if got := len(sel.Members()); got != 1 {
-		t.Fatalf("members = %v, want the single node 5", sel.Members())
+	if got := len(members(sel)); got != 1 {
+		t.Fatalf("members = %v, want the single node 5", members(sel))
 	}
-	if sel.Members()[0] != 5 {
-		t.Errorf("member = %v", sel.Members())
+	if members(sel)[0] != 5 {
+		t.Errorf("member = %v", members(sel))
 	}
 	// Without consolidation each task takes its cheap local node.
 	sel = SelectWinners(tasks, cands, SelectionPolicy{DistanceEps: 0.05, UseCommCost: true})
-	if got := len(sel.Members()); got != 3 {
+	if got := len(members(sel)); got != 3 {
 		t.Errorf("plain members = %d, want 3", got)
 	}
 }
@@ -156,7 +171,7 @@ func TestSelectSpreadPolicy(t *testing.T) {
 	}
 	cands := map[string][]Candidate{"t0": mk("t0"), "t1": mk("t1"), "t2": mk("t2")}
 	sel := SelectWinners(tasks, cands, SelectionPolicy{DistanceEps: 0.05, UseCommCost: true, Spread: true})
-	if got := len(sel.Members()); got != 3 {
+	if got := len(members(sel)); got != 3 {
 		t.Errorf("spread members = %d, want 3 (load balancing)", got)
 	}
 }
@@ -168,14 +183,19 @@ func TestSelectionAggregates(t *testing.T) {
 		"t1": {cand(1, "t1", 0.3, 0.4, 2)},
 	}
 	sel := SelectWinners(tasks, cands, DefaultPolicy)
-	if d := sel.TotalDistance(); d != 0.4 {
-		t.Errorf("TotalDistance = %v", d)
+	var dist, comm float64
+	for _, a := range sel.Assigned {
+		dist += a.Distance
+		comm += a.CommCost
 	}
-	if c := sel.TotalCommCost(); c != 0.6000000000000001 && c != 0.6 {
-		t.Errorf("TotalCommCost = %v", c)
+	if dist != 0.4 {
+		t.Errorf("summed distance = %v", dist)
 	}
-	if m := sel.Members(); len(m) != 1 || m[0] != 1 {
-		t.Errorf("Members = %v", m)
+	if comm != 0.6000000000000001 && comm != 0.6 {
+		t.Errorf("summed comm cost = %v", comm)
+	}
+	if m := members(sel); len(m) != 1 || m[0] != 1 {
+		t.Errorf("members = %v", m)
 	}
 }
 

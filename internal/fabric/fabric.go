@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/adapt"
-	"repro/internal/admit"
 	"repro/internal/arrival"
 	"repro/internal/core"
 	"repro/internal/par"
@@ -35,10 +34,6 @@ type Config struct {
 	// inside every shard; the city merge folds the per-shard adaptation
 	// counters alongside the rest of session.Stats.
 	Adapt *adapt.Config
-	// Admission, when set, runs the admission-policy layer
-	// (internal/admit) inside every shard; the city merge folds the
-	// per-shard admission counters alongside the rest of session.Stats.
-	Admission *admit.Config
 	// Parallel is the worker-pool width shards fan out over (<= 1 runs
 	// them sequentially). Results are identical at every width.
 	Parallel int
@@ -145,7 +140,6 @@ func runShard(cfg Config, shard int) (*session.Stats, error) {
 		Warmup:     cfg.Warmup,
 		Organizer:  cfg.Organizer,
 		Adapt:      cfg.Adapt,
-		Admission:  cfg.Admission,
 	}
 	if cfg.ChurnPerHour > 0 {
 		scfg.Churn = &session.ChurnConfig{

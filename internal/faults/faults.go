@@ -93,12 +93,6 @@ type Plan struct {
 	Partition *PartitionPlan
 }
 
-// Active reports whether the plan injects anything at all.
-func (p *Plan) Active() bool {
-	return p.Loss > 0 || p.Burst != nil || p.DelayProb > 0 || p.DupProb > 0 ||
-		p.Freeze != nil || p.Partition != nil
-}
-
 // validate rejects plans outside their domains.
 func (p *Plan) validate() error {
 	if p.Loss < 0 || p.Loss >= 1 {
@@ -309,12 +303,6 @@ func mergeIntervals(ivs []interval) []interval {
 	}
 	return out
 }
-
-// Plan returns the injector's plan.
-func (inj *Injector) Plan() Plan { return inj.plan }
-
-// Horizon returns the time past which the plan heals.
-func (inj *Injector) Horizon() float64 { return inj.horizon }
 
 // FreezeEvents returns the full freeze/thaw schedule in time order.
 // Owners that must *react* to freezes (the session engine's adaptation

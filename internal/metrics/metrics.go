@@ -60,35 +60,6 @@ func (s *Sample) Mean() float64 {
 	return s.Sum() / float64(len(s.xs))
 }
 
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Min returns the smallest observation (0 for empty samples).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest observation (0 for empty samples).
 func (s *Sample) Max() float64 {
 	if len(s.xs) == 0 {

@@ -21,18 +21,14 @@ func TestSampleBasics(t *testing.T) {
 	if s.N() != 4 || s.Sum() != 10 || s.Mean() != 2.5 {
 		t.Errorf("N/Sum/Mean = %d/%v/%v", s.N(), s.Sum(), s.Mean())
 	}
-	if s.Min() != 1 || s.Max() != 4 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	want := math.Sqrt(1.25)
-	if math.Abs(s.Stddev()-want) > 1e-12 {
-		t.Errorf("Stddev = %v, want %v", s.Stddev(), want)
+	if s.Max() != 4 {
+		t.Errorf("Max = %v", s.Max())
 	}
 }
 
 func TestSampleEmpty(t *testing.T) {
 	s := &Sample{}
-	if s.N() != 0 || s.Mean() != 0 || s.Stddev() != 0 || s.Min() != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
 		t.Error("empty sample must answer zeros")
 	}
 }

@@ -43,10 +43,11 @@ type Config struct {
 	// TimeScale converts the protocol's virtual seconds to wall-clock
 	// for the endpoint's Timers (default 0.02).
 	TimeScale float64
-	// PropDelay and ProcDelay parameterize the communication-cost model
-	// (radio.LinkLatency); set them to the sim scenario's radio.Config
-	// values when comparing runtimes.
-	PropDelay, ProcDelay float64
+	// ProcDelay is the per-message processing delay of the
+	// communication-cost model (radio.LinkLatency, with no propagation
+	// delay); set it to the sim scenario's radio.Config value when
+	// comparing runtimes.
+	ProcDelay float64
 	// DialTimeout bounds connect plus the Hello handshake (default 2s).
 	DialTimeout time.Duration
 	// WriteTimeout bounds each frame write (default 2s), and with it how
@@ -54,9 +55,6 @@ type Config struct {
 	// deadline is a send error: the connection is dropped and re-dialed
 	// on the next send.
 	WriteTimeout time.Duration
-	// MaxFrame caps frame payloads in both directions (default
-	// proto.DefaultMaxFrame).
-	MaxFrame int
 	// InboxDepth is the decoded-message queue depth (default 256). A
 	// connection's read loop waits at a full inbox — nothing is dropped;
 	// TCP flow control carries the backpressure to the sender, whose
@@ -138,7 +136,7 @@ var frameBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// Endpoint is the TCP implementation of proto.Network: a listener, a
+// Endpoint is the TCP implementation of proto.Transport: a listener, a
 // connection pool with lazy (re)dialing, read loops decoding frames
 // into one inbox, and a peer directory driven by Hello handshakes.
 type Endpoint struct {
@@ -187,7 +185,6 @@ func NewEndpoint(cfg Config) *Endpoint {
 	cfg = cfg.withDefaults()
 	e := &Endpoint{
 		cfg:   cfg,
-		codec: proto.Codec{MaxFrame: cfg.MaxFrame},
 		start: time.Now(),
 		peers: make(map[radio.NodeID]*peer),
 		dials: make(map[radio.NodeID]*dial),
@@ -246,8 +243,7 @@ func (t clockTimers) After(d float64, fn func()) {
 	time.AfterFunc(time.Duration(d*t.scale*float64(time.Second)), fn)
 }
 
-// Listen implements proto.Network: it binds the configured address and
-// starts the accept loop.
+// Listen binds the configured address and starts the accept loop.
 func (e *Endpoint) Listen() error {
 	if e.cfg.ListenAddr == "" {
 		return errors.New("net: endpoint has no listen address")
@@ -280,10 +276,10 @@ func (e *Endpoint) Addr() string {
 	return e.ln.Addr().String()
 }
 
-// Dial implements proto.Network: it registers the peer's address and
-// attempts to connect and handshake. The address stays registered on
-// failure, so a later Send re-dials — which is how a transient dial
-// failure heals through the reliability layer's retransmissions.
+// Dial registers the peer's address and attempts to connect and
+// handshake. The address stays registered on failure, so a later Send
+// re-dials — which is how a transient dial failure heals through the
+// reliability layer's retransmissions.
 func (e *Endpoint) Dial(to radio.NodeID, addr string) error {
 	e.mu.Lock()
 	if e.closed {
@@ -752,23 +748,7 @@ func (e *Endpoint) CommCost(to radio.NodeID, size int64) float64 {
 	if !ok || !radio.LinkInRange(e.cfg.Link, l) {
 		return math.Inf(1)
 	}
-	return radio.LinkLatency(e.cfg.Link, l, size, e.cfg.PropDelay, e.cfg.ProcDelay)
-}
-
-// PeerLink reports a peer's directory entry.
-func (e *Endpoint) PeerLink(id radio.NodeID) (radio.Link, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	l, ok := e.links[id]
-	return l, ok
-}
-
-// PeerCapacity reports a peer's advertised capacity.
-func (e *Endpoint) PeerCapacity(id radio.NodeID) (resource.Vector, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c, ok := e.caps[id]
-	return c, ok
+	return radio.LinkLatency(e.cfg.Link, l, size, 0, e.cfg.ProcDelay)
 }
 
 // Peers returns the IDs of currently connected peers, ascending.
@@ -783,8 +763,8 @@ func (e *Endpoint) Peers() []radio.NodeID {
 	return ids
 }
 
-// Close implements proto.Network: it stops accepting, says Bye to every
-// peer, closes all connections, and waits for the read loops to drain.
+// Close stops accepting, says Bye to every peer, closes all
+// connections, and waits for the read loops to drain.
 // Close is idempotent.
 func (e *Endpoint) Close() error {
 	e.mu.Lock()

@@ -96,7 +96,10 @@ func TestEndpointLoopbackRoundTrip(t *testing.T) {
 	if c := a.CommCost(2, 1024); c <= 0 || c > 1 {
 		t.Errorf("CommCost a->b = %v", c)
 	}
-	if cap, ok := a.PeerCapacity(2); !ok || cap != b.cfg.Capacity {
+	a.mu.Lock()
+	cap, ok := a.caps[2]
+	a.mu.Unlock()
+	if !ok || cap != b.cfg.Capacity {
 		t.Errorf("peer capacity = %v, %v", cap, ok)
 	}
 	if a.Sent.Load() != 1 || a.Delivered.Load() != 1 || a.SendErrors.Load() != 0 {
@@ -247,7 +250,11 @@ func TestEndpointMidStreamCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := codec.WriteMsg(raw, &proto.Hello{Node: 99, RangeM: 100, Bitrate: 1e6}); err != nil {
+	hello, err := codec.Encode(&proto.Hello{Node: 99, RangeM: 100, Bitrate: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write(hello); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := codec.ReadMsg(raw); err != nil { // a's answering Hello

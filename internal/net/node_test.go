@@ -63,15 +63,11 @@ func TestOutOfRangeNodeNeverAssigned(t *testing.T) {
 // remote provider, and after dissolution both ledgers return to full
 // capacity.
 func TestTwoNodeNegotiation(t *testing.T) {
-	mk := func(id radio.NodeID, x float64, profile string) *Node {
-		p, err := workload.ProfileByName(profile)
-		if err != nil {
-			t.Fatal(err)
-		}
+	mk := func(id radio.NodeID, x float64, p workload.Profile) *Node {
 		return startNode(t, id, radio.Link{Pos: radio.Pos{X: x}, RangeM: p.RangeM, Bitrate: p.Bitrate}, p.Capacity)
 	}
-	org := mk(0, 0, "phone")
-	prov := mk(1, 10, "laptop")
+	org := mk(0, 0, workload.Phone)
+	prov := mk(1, 10, workload.Laptop)
 
 	if err := org.Endpoint.Dial(1, prov.Endpoint.Addr()); err != nil {
 		t.Fatal(err)

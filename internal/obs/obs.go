@@ -117,13 +117,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Names returns the registered names in first-registration order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.names...)
-}
-
 // Snapshot is a point-in-time reading of a registry: name → summed
 // value. Snapshots are plain values; Merge and Diff return fresh maps
 // and never mutate their operands, so a Snapshot stored in a stats
@@ -181,15 +174,6 @@ func (s Snapshot) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Total sums every value, a quick "did anything fire" probe for tests.
-func (s Snapshot) Total() uint64 {
-	var t uint64
-	for _, v := range s {
-		t += v
-	}
-	return t
 }
 
 // String renders "name=v name=v" in sorted name order.

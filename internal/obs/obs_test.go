@@ -42,7 +42,7 @@ func TestRegistrySumsInstancesPerName(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot %v want %v", got, want)
 	}
-	if names := r.Names(); !reflect.DeepEqual(names, []string{"proto.retransmissions", "session.freezes"}) {
+	if names := r.names; !reflect.DeepEqual(names, []string{"proto.retransmissions", "session.freezes"}) {
 		t.Fatalf("names %v", names)
 	}
 }

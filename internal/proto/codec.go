@@ -41,7 +41,7 @@ import (
 // Decoding is strict and panic-free: truncated payloads, bad varints,
 // unknown tags, nested Sequenced envelopes, counts larger than the
 // remaining bytes, and trailing garbage all return errors. The frame
-// length is checked against MaxFrame before the payload is read, so a
+// length is checked against DefaultMaxFrame before the payload is read, so a
 // corrupt length cannot force a huge allocation.
 
 // CodecVersion is the wire format version this build speaks. Decode
@@ -78,23 +78,12 @@ const (
 )
 
 // ErrFrameTooLarge is returned when a frame's declared payload exceeds
-// the codec's MaxFrame, on either side of the wire.
+// DefaultMaxFrame, on either side of the wire.
 var ErrFrameTooLarge = errors.New("proto: frame exceeds max size")
 
-// Codec encodes and decodes framed messages. The zero value is ready to
-// use with DefaultMaxFrame.
-type Codec struct {
-	// MaxFrame caps the payload length accepted on decode and produced
-	// on encode; 0 means DefaultMaxFrame.
-	MaxFrame int
-}
-
-func (c Codec) maxFrame() int {
-	if c.MaxFrame > 0 {
-		return c.MaxFrame
-	}
-	return DefaultMaxFrame
-}
+// Codec encodes and decodes framed messages of at most DefaultMaxFrame
+// payload bytes. The zero value is ready to use.
+type Codec struct{}
 
 // kindOf maps a message to its wire tag.
 func kindOf(m Msg) (byte, error) {
@@ -145,7 +134,7 @@ func (c Codec) AppendFrame(dst []byte, m Msg) ([]byte, error) {
 		return nil, err
 	}
 	payload := len(dst) - start - frameHeader
-	if payload > c.maxFrame() {
+	if payload > DefaultMaxFrame {
 		return nil, fmt.Errorf("proto: %s payload %d: %w", m.Kind(), payload, ErrFrameTooLarge)
 	}
 	binary.BigEndian.PutUint32(dst[start+3:], uint32(payload))
@@ -159,7 +148,7 @@ func (c Codec) AppendFrame(dst []byte, m Msg) ([]byte, error) {
 func (c Codec) Decode(frame []byte) (Msg, error) { return c.decode(frame, nil) }
 
 // payloadLen validates a frame header — magic, version, declared length
-// against MaxFrame — and returns the payload length.
+// against DefaultMaxFrame — and returns the payload length.
 func (c Codec) payloadLen(hdr []byte) (int, error) {
 	if hdr[0] != codecMagic {
 		return 0, fmt.Errorf("proto: bad magic 0x%02x", hdr[0])
@@ -168,7 +157,7 @@ func (c Codec) payloadLen(hdr []byte) (int, error) {
 		return 0, fmt.Errorf("proto: unsupported codec version %d (want %d)", hdr[1], CodecVersion)
 	}
 	n := binary.BigEndian.Uint32(hdr[3:frameHeader])
-	if int64(n) > int64(c.maxFrame()) {
+	if int64(n) > DefaultMaxFrame {
 		return 0, fmt.Errorf("proto: declared payload %d: %w", n, ErrFrameTooLarge)
 	}
 	return int(n), nil
@@ -196,16 +185,6 @@ func (c Codec) decode(frame []byte, dec *Decoder) (Msg, error) {
 		return nil, fmt.Errorf("proto: %d trailing bytes after payload", len(r.b)-r.off)
 	}
 	return m, nil
-}
-
-// WriteMsg frames and writes one message.
-func (c Codec) WriteMsg(w io.Writer, m Msg) error {
-	frame, err := c.Encode(m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
 }
 
 // ReadMsg reads exactly one frame from the stream. A stream that ends

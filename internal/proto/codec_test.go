@@ -2,6 +2,8 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"reflect"
@@ -103,6 +105,16 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// writeMsg frames m and writes it to w.
+func writeMsg(w io.Writer, c Codec, m Msg) error {
+	frame, err := c.Encode(m)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
+
 // TestCodecStream checks the io framing: several messages written
 // back-to-back read out in order, a clean end gives io.EOF, and a
 // stream cut inside a frame gives an unexpected-EOF error.
@@ -111,7 +123,7 @@ func TestCodecStream(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := sampleMsgs()
 	for _, m := range msgs {
-		if err := c.WriteMsg(&buf, m); err != nil {
+		if err := writeMsg(&buf, c, m); err != nil {
 			t.Fatalf("write %s: %v", m.Kind(), err)
 		}
 	}
@@ -186,17 +198,16 @@ func TestCodecRejectsCorruptHeader(t *testing.T) {
 }
 
 func TestCodecRejectsOversized(t *testing.T) {
-	small := Codec{MaxFrame: 16}
-	big := &Dissolve{ServiceID: "s", Reason: strings.Repeat("x", 64)}
-	if _, err := small.Encode(big); err == nil {
-		t.Error("encode over MaxFrame accepted")
+	var c Codec
+	big := &Dissolve{ServiceID: "s", Reason: strings.Repeat("x", DefaultMaxFrame)}
+	if _, err := c.Encode(big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("encode over DefaultMaxFrame: err = %v", err)
 	}
-	frame, err := Codec{}.Encode(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := small.Decode(frame); err == nil {
-		t.Error("decode over MaxFrame accepted")
+	frame := make([]byte, frameHeader+DefaultMaxFrame+1)
+	copy(frame, []byte{codecMagic, CodecVersion, kindDissolve})
+	binary.BigEndian.PutUint32(frame[3:frameHeader], DefaultMaxFrame+1)
+	if _, err := c.Decode(frame); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("decode over DefaultMaxFrame: err = %v", err)
 	}
 	// A huge declared length must be refused by ReadMsg before any
 	// payload allocation.

@@ -17,7 +17,7 @@ import (
 // the request's Dims — is read-only by the same convention that lets
 // every session of a workload template share one request in process.
 //
-// All of it is bounded: the buffer by MaxFrame, the intern table by
+// All of it is bounded: the buffer by DefaultMaxFrame, the intern table by
 // internSlots strings of at most internMaxLen bytes, the request memo by
 // one request of at most sharedRequestMax wire bytes. A Decoder is owned
 // by one goroutine.

@@ -138,7 +138,7 @@ func TestDecodedMessagesOutliveTheFrame(t *testing.T) {
 	var stream bytes.Buffer
 	msgs := sampleMsgs()
 	for _, m := range msgs {
-		if err := c.WriteMsg(&stream, m); err != nil {
+		if err := writeMsg(&stream, c, m); err != nil {
 			t.Fatal(err)
 		}
 	}

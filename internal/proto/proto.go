@@ -7,8 +7,6 @@
 package proto
 
 import (
-	"fmt"
-
 	"repro/internal/qos"
 	"repro/internal/radio"
 )
@@ -219,28 +217,9 @@ type Transport interface {
 	CommCost(to radio.NodeID, size int64) float64
 }
 
-// Network extends Transport with the explicit link lifecycle of
-// deployments whose connections are real operating-system resources.
-// The simulated medium is born connected and does not implement it; the
-// TCP fabric (internal/net) does.
-type Network interface {
-	Transport
-	// Listen starts accepting inbound peers.
-	Listen() error
-	// Dial registers (and lazily connects) the address of a peer.
-	Dial(to radio.NodeID, addr string) error
-	// Close tears the endpoint down, draining in-flight writes.
-	Close() error
-}
-
 // Timers schedules callbacks in the entity's time base (virtual seconds
 // on the simulator, scaled wall-clock on the TCP runtime).
 type Timers interface {
 	Now() float64
 	After(d float64, fn func())
-}
-
-// String summarizes a message for traces.
-func Describe(m Msg) string {
-	return fmt.Sprintf("%s(%dB)", m.Kind(), m.WireSize())
 }

@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/qos"
@@ -77,12 +76,5 @@ func TestKindsAreDistinct(t *testing.T) {
 	}
 	if len(kinds) != 8 {
 		t.Errorf("kinds = %d", len(kinds))
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	d := Describe(&Dissolve{ServiceID: "s", Reason: "x"})
-	if !strings.HasPrefix(d, "dissolve(") || !strings.HasSuffix(d, "B)") {
-		t.Errorf("Describe = %q", d)
 	}
 }

@@ -195,9 +195,5 @@ func (c *Compiled) DegradeCost(a Assignment, i int) float64 {
 	return c.Slots[i].Pen[a[i]+1] - c.Slots[i].Pen[a[i]]
 }
 
-// Level materializes the assignment as a boundary Level (one map
-// allocation — keep it out of inner loops).
-func (c *Compiled) Level(a Assignment) Level { return c.Ladder.Level(a) }
-
 // NewAssignment returns the all-preferred assignment.
 func (c *Compiled) NewAssignment() Assignment { return c.Ladder.NewAssignment() }

@@ -17,15 +17,13 @@ import (
 // the formula analogous to eq. 3, w_i = (attr_k-i+1)/attr_k.
 //
 // The paper's eq. 5 is a signed difference; a proposal strictly better
-// than the preference would produce a negative term. By default the
-// evaluator uses the absolute difference so that distance is a metric and
-// the best proposal (lowest evaluation) is the one closest to the
-// preferences in either direction; set Signed to recover the paper's raw
-// form.
+// than the preference would produce a negative term. The evaluator uses
+// the absolute difference so that distance is a metric and the best
+// proposal (lowest evaluation) is the one closest to the preferences in
+// either direction.
 type Evaluator struct {
-	Spec   *Spec
-	Req    *Request
-	Signed bool
+	Spec *Spec
+	Req  *Request
 }
 
 // NewEvaluator builds an evaluator after validating the request against
@@ -40,38 +38,19 @@ func NewEvaluator(spec *Spec, req *Request) (*Evaluator, error) {
 	return &Evaluator{Spec: spec, Req: req}, nil
 }
 
-// DimDistance is the per-dimension breakdown of an evaluation.
-type DimDistance struct {
-	Dim      string
-	Weight   float64
-	Distance float64
-}
-
 // Distance evaluates a proposal level against the user's preferences.
 // The proposal must be admissible (Req.Admits and spec dependencies);
 // inadmissible proposals return an error, mirroring the paper's rule that
 // only admissible proposals are evaluated.
 func (e *Evaluator) Distance(prop Level) (float64, error) {
-	d, _, err := e.distance(prop, false)
-	return d, err
-}
-
-// DistanceBreakdown evaluates a proposal and also returns the weighted
-// per-dimension contributions, for diagnostics and the qosim CLI.
-func (e *Evaluator) DistanceBreakdown(prop Level) (float64, []DimDistance, error) {
-	return e.distance(prop, true)
-}
-
-func (e *Evaluator) distance(prop Level, breakdown bool) (float64, []DimDistance, error) {
 	if !e.Req.Admits(prop) {
-		return 0, nil, fmt.Errorf("qos: proposal %v is not admissible for request %q", prop, e.Req.Service)
+		return 0, fmt.Errorf("qos: proposal %v is not admissible for request %q", prop, e.Req.Service)
 	}
 	if ok, di := e.Spec.DepsSatisfied(prop); !ok {
-		return 0, nil, fmt.Errorf("qos: proposal %v violates dependency %d of spec %q", prop, di, e.Spec.Name)
+		return 0, fmt.Errorf("qos: proposal %v violates dependency %d of spec %q", prop, di, e.Spec.Name)
 	}
 	n := len(e.Req.Dims)
 	var total float64
-	var dims []DimDistance
 	for k, dp := range e.Req.Dims {
 		wk := RankWeight(k+1, n) // eq. 3; k is 0-based here
 		ak := len(dp.Attrs)
@@ -81,25 +60,22 @@ func (e *Evaluator) distance(prop Level, breakdown bool) (float64, []DimDistance
 			key := AttrKey{Dim: dp.Dim, Attr: ap.Attr}
 			pref, ok := e.Req.PreferredValue(key)
 			if !ok {
-				return 0, nil, fmt.Errorf("qos: request %q carries no preference for attribute %v", e.Req.Service, key)
+				return 0, fmt.Errorf("qos: request %q carries no preference for attribute %v", e.Req.Service, key)
 			}
 			dif, err := e.Dif(key, prop[key], pref)
 			if err != nil {
-				return 0, nil, err
+				return 0, err
 			}
 			dd += wi * dif
 		}
 		total += wk * dd
-		if breakdown {
-			dims = append(dims, DimDistance{Dim: dp.Dim, Weight: wk, Distance: dd})
-		}
 	}
-	return total, dims, nil
+	return total, nil
 }
 
 // Dif computes eq. 5 for one attribute: the degree of acceptability of the
 // proposed value compared to the preferred one, normalized to [0,1] over
-// the attribute's domain (absolute value unless Signed).
+// the attribute's domain, in absolute value.
 func (e *Evaluator) Dif(key AttrKey, prop, pref Value) (float64, error) {
 	attr := e.Spec.Attr(key)
 	if attr == nil {
@@ -120,10 +96,7 @@ func (e *Evaluator) Dif(key AttrKey, prop, pref Value) (float64, error) {
 		}
 		d = float64(pi-qi) / w
 	}
-	if !e.Signed {
-		d = math.Abs(d)
-	}
-	return d, nil
+	return math.Abs(d), nil
 }
 
 // MaxDistance returns an upper bound of the evaluation value for this

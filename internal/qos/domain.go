@@ -52,16 +52,6 @@ func DiscreteInts(vs ...int64) Domain {
 	return d
 }
 
-// DiscreteFloats builds a discrete float domain from the given ordered
-// values.
-func DiscreteFloats(vs ...float64) Domain {
-	d := Domain{Kind: Discrete, Type: TypeFloat, Values: make([]Value, len(vs))}
-	for i, v := range vs {
-		d.Values[i] = Float(v)
-	}
-	return d
-}
-
 // DiscreteStrings builds a discrete string domain from the given ordered
 // values.
 func DiscreteStrings(vs ...string) Domain {
@@ -75,11 +65,6 @@ func DiscreteStrings(vs ...string) Domain {
 // IntRange builds a continuous integer domain covering [min, max].
 func IntRange(min, max int64) Domain {
 	return Domain{Kind: Continuous, Type: TypeInt, Min: float64(min), Max: float64(max)}
-}
-
-// FloatRange builds a continuous float domain covering [min, max].
-func FloatRange(min, max float64) Domain {
-	return Domain{Kind: Continuous, Type: TypeFloat, Min: min, Max: max}
 }
 
 // Validate checks internal consistency of the domain.

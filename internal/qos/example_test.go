@@ -59,20 +59,3 @@ func ExampleEvaluator_Distance() {
 	// far:  0.2974
 	// best is near: true
 }
-
-// ExampleFormatRequest renders a request in the paper's own numbered
-// notation.
-func ExampleFormatRequest() {
-	req := qos.Request{
-		Service: "surveillance",
-		Dims: []qos.DimPref{
-			{Dim: "video", Attrs: []qos.AttrPref{
-				{Attr: "frame_rate", Sets: []qos.ValueSet{qos.Span(10, 5), qos.Span(4, 1)}},
-			}},
-		},
-	}
-	fmt.Print(qos.FormatRequest(nil, &req))
-	// Output:
-	// 1. video
-	//    (a) frame_rate: [10,...,5], [4,...,1]
-}

@@ -183,16 +183,6 @@ func (ld *Ladder) CanDegrade(a Assignment, i int) bool {
 	return a[i]+1 < len(ld.Attrs[i].Choices)
 }
 
-// Exhausted reports whether no attribute can degrade further.
-func (ld *Ladder) Exhausted(a Assignment) bool {
-	for i := range ld.Attrs {
-		if ld.CanDegrade(a, i) {
-			return false
-		}
-	}
-	return true
-}
-
 // Combinations returns the total number of candidate levels in the ladder
 // (the size of the exhaustive search space), saturating at math.MaxInt64.
 func (ld *Ladder) Combinations() int64 {

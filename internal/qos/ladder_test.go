@@ -107,14 +107,11 @@ func TestLadderAssignmentAndLevel(t *testing.T) {
 	if ld.CanDegrade(a, 2) {
 		t.Error("single-choice attr must not be degradable")
 	}
-	if ld.Exhausted(a) {
-		t.Error("fresh assignment is not exhausted")
-	}
 	for i := range ld.Attrs {
 		a[i] = len(ld.Attrs[i].Choices) - 1
-	}
-	if !ld.Exhausted(a) {
-		t.Error("deepest assignment must be exhausted")
+		if ld.CanDegrade(a, i) {
+			t.Errorf("attr %d degradable at its deepest choice", i)
+		}
 	}
 	c := a.Clone()
 	c[0] = 0
@@ -254,4 +251,14 @@ func TestPenaltyEdgeCases(t *testing.T) {
 	if QuadraticPenalty(2, 5, 1) >= DefaultPenalty(2, 5, 1) {
 		t.Error("quadratic must undercut linear mid-ladder")
 	}
+}
+
+// QuadraticPenalty penalizes deep degradations super-linearly, modelling
+// users that tolerate small degradations but dislike large ones.
+func QuadraticPenalty(choice, steps int, weight float64) float64 {
+	if steps <= 1 || choice <= 0 {
+		return 0
+	}
+	f := float64(choice) / float64(steps-1)
+	return weight * f * f
 }

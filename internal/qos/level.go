@@ -10,15 +10,6 @@ import (
 // evaluation function (Section 6).
 type Level map[AttrKey]Value
 
-// Clone returns an independent copy of the level.
-func (l Level) Clone() Level {
-	c := make(Level, len(l))
-	for k, v := range l {
-		c[k] = v
-	}
-	return c
-}
-
 // Equal reports whether two levels assign identical values to identical
 // attribute sets.
 func (l Level) Equal(o Level) bool {

@@ -240,14 +240,3 @@ func (r *Request) Equal(o *Request) bool {
 	}
 	return true
 }
-
-// Keys returns the requested attribute keys in request (importance) order.
-func (r *Request) Keys() []AttrKey {
-	var ks []AttrKey
-	for _, dp := range r.Dims {
-		for _, ap := range dp.Attrs {
-			ks = append(ks, AttrKey{Dim: dp.Dim, Attr: ap.Attr})
-		}
-	}
-	return ks
-}

@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"maps"
 	"strings"
 	"testing"
 )
@@ -128,27 +129,33 @@ func TestRequestAdmits(t *testing.T) {
 		t.Error("second-choice span rejected")
 	}
 	// Value outside every accepted set.
-	bad := ok.Clone()
+	bad := maps.Clone(ok)
 	bad[AttrKey{Dim: "video", Attr: "frame_rate"}] = Int(20)
 	if r.Admits(bad) {
 		t.Error("frame rate 20 accepted though user tolerates only [10..5],[4..1]")
 	}
 	// Missing attribute.
-	missing := ok.Clone()
+	missing := maps.Clone(ok)
 	delete(missing, AttrKey{Dim: "audio", Attr: "sample_bits"})
 	if r.Admits(missing) {
 		t.Error("incomplete level admitted")
 	}
 	// Extra attributes are fine.
-	extra := ok.Clone()
+	extra := maps.Clone(ok)
 	extra[AttrKey{Dim: "video", Attr: "brightness"}] = Int(1)
 	if !r.Admits(extra) {
 		t.Error("extra attribute should not block admission")
 	}
 }
 
+// TestRequestKeysOrder: the request's attribute keys, as the ladder lays
+// them out, follow importance order.
 func TestRequestKeysOrder(t *testing.T) {
-	ks := paperRequest().Keys()
+	ld := mustLadder(t, DefaultGridSteps)
+	var ks []AttrKey
+	for _, la := range ld.Attrs {
+		ks = append(ks, la.Key)
+	}
 	want := []AttrKey{
 		{Dim: "video", Attr: "frame_rate"},
 		{Dim: "video", Attr: "color_depth"},

@@ -19,16 +19,6 @@ func DefaultPenalty(choice, steps int, weight float64) float64 {
 	return weight * float64(choice) / float64(steps-1)
 }
 
-// QuadraticPenalty penalizes deep degradations super-linearly, modelling
-// users that tolerate small degradations but dislike large ones.
-func QuadraticPenalty(choice, steps int, weight float64) float64 {
-	if steps <= 1 || choice <= 0 {
-		return 0
-	}
-	f := float64(choice) / float64(steps-1)
-	return weight * f * f
-}
-
 // Reward computes the local reward of eq. 1 for an assignment over the
 // ladder: r = n when every attribute of every dimension is served at the
 // user's first choice, otherwise r = n - sum(penalty_j). n is the number

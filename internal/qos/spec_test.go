@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"maps"
 	"strings"
 	"testing"
 )
@@ -175,7 +176,7 @@ func TestLevelCloneEqualString(t *testing.T) {
 		{Dim: "video", Attr: "frame_rate"}:  Int(10),
 		{Dim: "video", Attr: "color_depth"}: Int(8),
 	}
-	c := l.Clone()
+	c := maps.Clone(l)
 	if !l.Equal(c) {
 		t.Error("clone not equal")
 	}

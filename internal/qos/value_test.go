@@ -151,3 +151,18 @@ func TestDomainKindString(t *testing.T) {
 		t.Error("DomainKind names do not match the paper's Domain = {continuous, discrete}")
 	}
 }
+
+// DiscreteFloats builds a discrete float domain from the given ordered
+// values.
+func DiscreteFloats(vs ...float64) Domain {
+	d := Domain{Kind: Discrete, Type: TypeFloat, Values: make([]Value, len(vs))}
+	for i, v := range vs {
+		d.Values[i] = Float(v)
+	}
+	return d
+}
+
+// FloatRange builds a continuous float domain covering [min, max].
+func FloatRange(min, max float64) Domain {
+	return Domain{Kind: Continuous, Type: TypeFloat, Min: min, Max: max}
+}

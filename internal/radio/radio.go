@@ -265,13 +265,6 @@ func (m *Medium) Attach(id NodeID, mob Mobility, rangeM, bitrate float64, h Hand
 	return nil
 }
 
-// SetHandler replaces a node's delivery handler.
-func (m *Medium) SetHandler(id NodeID, h Handler) {
-	if n, ok := m.nodes[id]; ok {
-		n.handler = h
-	}
-}
-
 // SetDown marks a node failed (true) or recovered (false); down nodes
 // neither send nor receive. Used by the failure-injection experiments.
 func (m *Medium) SetDown(id NodeID, down bool) {

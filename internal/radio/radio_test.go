@@ -312,7 +312,8 @@ func TestMobilityBreaksLinks(t *testing.T) {
 
 func TestSetHandlerAndNodeIDs(t *testing.T) {
 	eng, m := newTestMedium(t, Config{})
-	if err := m.Attach(2, Static{}, 10, 1e6, nil); err != nil {
+	var rx capture
+	if err := m.Attach(2, Static{}, 10, 1e6, rx.handler()); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Attach(1, Static{}, 10, 1e6, nil); err != nil {
@@ -322,12 +323,10 @@ func TestSetHandlerAndNodeIDs(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Errorf("NodeIDs = %v", ids)
 	}
-	var rx capture
-	m.SetHandler(2, rx.handler())
 	m.Send(1, 2, "x", 1)
 	eng.Run(0)
 	if len(rx.msgs) != 1 {
-		t.Error("late-bound handler missed message")
+		t.Error("handler missed message")
 	}
 	if _, ok := m.PosOf(1); !ok {
 		t.Error("PosOf known node failed")
@@ -358,7 +357,11 @@ func TestInterceptorFates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rx capture
-	if err := m.Attach(2, Static{X: 10}, 50, 1e6, rx.handler()); err != nil {
+	var arrivals []float64
+	if err := m.Attach(2, Static{X: 10}, 50, 1e6, func(from NodeID, msg any) {
+		rx.handler()(from, msg)
+		arrivals = append(arrivals, eng.Now())
+	}); err != nil {
 		t.Fatal(err)
 	}
 	m.SetInterceptor(&scriptedInterceptor{fates: []Fate{
@@ -370,11 +373,6 @@ func TestInterceptorFates(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Send(1, 2, i, 8)
 	}
-	var arrivals []float64
-	m.SetHandler(2, func(from NodeID, msg any) {
-		rx.handler()(from, msg)
-		arrivals = append(arrivals, eng.Now())
-	})
 	eng.Run(0)
 	// msg 0 dropped; msg 1 duplicated; msg 2 delayed 2s; msg 3 normal.
 	if len(rx.msgs) != 4 {

@@ -45,11 +45,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Kinds lists all resource kinds in index order.
-func Kinds() []Kind {
-	return []Kind{CPU, Memory, NetBW, Energy, Storage}
-}
-
 // Vector is a fixed-size resource quantity vector, indexed by Kind.
 // The zero value is the empty demand.
 type Vector [NumKinds]float64

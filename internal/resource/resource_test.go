@@ -73,8 +73,8 @@ func TestKindNames(t *testing.T) {
 			t.Errorf("Kind %d = %q, want %q", k, k.String(), name)
 		}
 	}
-	if len(Kinds()) != NumKinds {
-		t.Error("Kinds() incomplete")
+	if len(want) != NumKinds {
+		t.Error("kind table incomplete")
 	}
 	if Kind(200).String() == "" {
 		t.Error("unknown kind should render")

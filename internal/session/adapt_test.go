@@ -59,7 +59,7 @@ func ledgerEntriesAlive(cl *core.Cluster, svcID string) []string {
 			continue
 		}
 		res := cl.Node(id).Res
-		for _, k := range resource.Kinds() {
+		for k := resource.Kind(0); k < resource.NumKinds; k++ {
 			for _, rid := range res.Holders(k) {
 				s := string(rid)
 				if strings.HasPrefix(s, svcID+"/") || strings.HasPrefix(s, "hold:"+svcID+"/") {

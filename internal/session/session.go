@@ -517,10 +517,6 @@ func New(cl *core.Cluster, cfg Config, seed int64) (*Engine, error) {
 	return e, nil
 }
 
-// Adapter returns the run's adaptation engine (nil without Config.Adapt),
-// for test assertions and CLI reporting.
-func (e *Engine) Adapter() *adapt.Engine { return e.ad }
-
 // ArrivalTrace returns the run's recorded arrival trace — every arrival
 // with its arrival-time holding draw — in arrival order, or nil when
 // Config.Admission is unset. Callers feed it to baseline.Clairvoyant to

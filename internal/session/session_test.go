@@ -35,7 +35,7 @@ func ledgerEntriesFor(cl *core.Cluster, svcID string) []string {
 	var out []string
 	for _, id := range cl.Nodes() {
 		res := cl.Node(id).Res
-		for _, k := range resource.Kinds() {
+		for k := resource.Kind(0); k < resource.NumKinds; k++ {
 			for _, rid := range res.Holders(k) {
 				s := string(rid)
 				if strings.HasPrefix(s, svcID+"/") || strings.HasPrefix(s, "hold:"+svcID+"/") {
@@ -56,7 +56,7 @@ func assertAllReleased(t *testing.T, cl *core.Cluster) {
 	for _, id := range cl.Nodes() {
 		res := cl.Node(id).Res
 		capacity, available := res.Usage()
-		for _, k := range resource.Kinds() {
+		for k := resource.Kind(0); k < resource.NumKinds; k++ {
 			if holders := res.Holders(k); len(holders) != 0 {
 				t.Errorf("node %d %s: ledger not empty after run: %v", id, k, holders)
 			}

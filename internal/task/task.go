@@ -281,9 +281,3 @@ type FuncDemand func(spec *qos.Spec, level qos.Level) (resource.Vector, error)
 func (f FuncDemand) Demand(spec *qos.Spec, level qos.Level) (resource.Vector, error) {
 	return f(spec, level)
 }
-
-// ConstDemand returns the same vector for every level; useful for
-// baselines and tests where quality does not change cost.
-func ConstDemand(v resource.Vector) DemandModel {
-	return FuncDemand(func(*qos.Spec, qos.Level) (resource.Vector, error) { return v, nil })
-}

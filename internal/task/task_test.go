@@ -37,7 +37,9 @@ func testTask(id string) *Task {
 	return &Task{
 		ID:      id,
 		Request: testRequest(),
-		Demand:  ConstDemand(resource.V(resource.KV{K: resource.CPU, A: 10})),
+		Demand: FuncDemand(func(*qos.Spec, qos.Level) (resource.Vector, error) {
+			return resource.V(resource.KV{K: resource.CPU, A: 10}), nil
+		}),
 		InBytes: 100, OutBytes: 50,
 	}
 }
@@ -158,12 +160,8 @@ func TestLinearDemandErrors(t *testing.T) {
 
 func TestConstAndFuncDemand(t *testing.T) {
 	want := resource.V(resource.KV{K: resource.Memory, A: 7})
-	v, err := ConstDemand(want).Demand(testSpec(), qos.Level{})
-	if err != nil || v != want {
-		t.Errorf("ConstDemand = %v, %v", v, err)
-	}
 	fd := FuncDemand(func(*qos.Spec, qos.Level) (resource.Vector, error) { return want, nil })
-	v, err = fd.Demand(testSpec(), qos.Level{})
+	v, err := fd.Demand(testSpec(), qos.Level{})
 	if err != nil || v != want {
 		t.Errorf("FuncDemand = %v, %v", v, err)
 	}

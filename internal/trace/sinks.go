@@ -57,86 +57,6 @@ func (b *Buffer) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// JSONLWriter streams each event to w as one JSON line under a mutex.
-// The first write or marshal error is retained and reported by Err;
-// later events are dropped so a full disk cannot panic a run.
-type JSONLWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	err error
-}
-
-// NewJSONLWriter wraps w.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{w: w}
-}
-
-// Emit implements Tracer.
-func (jw *JSONLWriter) Emit(e Event) {
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	if jw.err != nil {
-		return
-	}
-	jw.err = writeJSONLine(jw.w, e)
-}
-
-// Err returns the first write error, if any.
-func (jw *JSONLWriter) Err() error {
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	return jw.err
-}
-
-// Counts tallies events per kind — the counting sink tests use to
-// assert "N reconcile sweeps fired" without retaining events.
-type Counts struct {
-	mu     sync.Mutex
-	byKind map[string]uint64
-	total  uint64
-}
-
-// NewCounts builds an empty counting sink.
-func NewCounts() *Counts {
-	return &Counts{byKind: make(map[string]uint64)}
-}
-
-// Emit implements Tracer.
-func (c *Counts) Emit(e Event) {
-	c.mu.Lock()
-	c.byKind[e.Kind]++
-	c.total++
-	c.mu.Unlock()
-}
-
-// Get returns the count for kind.
-func (c *Counts) Get(kind string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.byKind[kind]
-}
-
-// Total returns the total event count.
-func (c *Counts) Total() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
-// FilterSink forwards events satisfying Allow to Next (nil Allow passes
-// everything), composing with any downstream sink.
-type FilterSink struct {
-	Allow func(Event) bool
-	Next  Tracer
-}
-
-// Emit implements Tracer.
-func (f FilterSink) Emit(e Event) {
-	if f.Allow == nil || f.Allow(e) {
-		f.Next.Emit(e)
-	}
-}
-
 // Multi fans each event out to every sink in order.
 type Multi []Tracer
 

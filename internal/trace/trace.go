@@ -116,14 +116,3 @@ func (r *Ring) String() string {
 	}
 	return b.String()
 }
-
-// Filter returns the retained events matching the given kind ("" = all).
-func (r *Ring) Filter(kind string) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if kind == "" || e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -22,17 +22,18 @@ const (
 	// degenerates to uniform.
 	CityHotspot CityProfile = "hotspot"
 	// CityDiurnal gives every shard an equal mean share of TotalRate
-	// but modulates it sinusoidally with a per-shard phase shift of
-	// shard/Shards() of a Period — neighbourhoods peak at different
-	// times of day, so the instantaneous city load stays near its mean
-	// while each shard cycles through feast and famine.
+	// but modulates it sinusoidally (600 s period, amplitude 0.9) with a
+	// per-shard phase shift of shard/Shards() of a period —
+	// neighbourhoods peak at different times of day, so the
+	// instantaneous city load stays near its mean while each shard
+	// cycles through feast and famine.
 	CityDiurnal CityProfile = "diurnal"
 )
 
 // CityScenario lays out a city as a Rows x Cols grid of independent
 // single-hop neighbourhoods ("shards"). Every shard is a standard
-// spontaneous neighbourhood — NodesPerShard devices drawn from Mix in a
-// ShardAreaM square — and the grid pitch is assumed to exceed the radio
+// spontaneous neighbourhood — NodesPerShard devices drawn from DefaultMix
+// in an 80 m square — and the grid pitch is assumed to exceed the radio
 // range, so shards never interact over the air; each shard gets its own
 // cluster, medium and virtual clock, which is what lets the fabric
 // engine run them on parallel workers without changing a single bit of
@@ -45,11 +46,6 @@ type CityScenario struct {
 	Rows, Cols int
 	// NodesPerShard is each neighbourhood's population (default 16).
 	NodesPerShard int
-	// Mix selects device classes per shard (nil = DefaultMix).
-	Mix Mix
-	// ShardAreaM is each neighbourhood's square side in meters
-	// (default 80, everyone in radio range of everyone).
-	ShardAreaM float64
 	// TotalRate is the city-wide mean session arrival rate
 	// (sessions per simulated second), split across shards by Profile.
 	TotalRate float64
@@ -58,10 +54,13 @@ type CityScenario struct {
 	// HotspotBoost is the centre-to-edge weight ratio knob of
 	// CityHotspot (values <= 1 mean uniform).
 	HotspotBoost float64
-	// Period and Amplitude configure CityDiurnal's sinusoid (Amplitude
-	// defaults to 0.9, Period to 600 s).
-	Period, Amplitude float64
 }
+
+// CityDiurnal's sinusoid: relative amplitude and period in seconds.
+const (
+	cityDiurnalAmplitude = 0.9
+	cityDiurnalPeriod    = 600
+)
 
 // Validate reports the first configuration error.
 func (c CityScenario) Validate() error {
@@ -118,17 +117,9 @@ func (c CityScenario) ArrivalProcess(shard int) arrival.Process {
 	if c.Profile != CityDiurnal {
 		return arrival.Poisson{Rate: rate}
 	}
-	period := c.Period
-	if period <= 0 {
-		period = 600
-	}
-	amp := c.Amplitude
-	if amp <= 0 {
-		amp = 0.9
-	}
-	phase := period * float64(shard) / float64(c.Shards())
+	phase := cityDiurnalPeriod * float64(shard) / float64(c.Shards())
 	return arrival.Inhomogeneous{Profile: arrival.Diurnal{
-		Mean: rate, Amplitude: amp, Period: period, Phase: phase,
+		Mean: rate, Amplitude: cityDiurnalAmplitude, Period: cityDiurnalPeriod, Phase: phase,
 	}}
 }
 
@@ -139,9 +130,5 @@ func (c CityScenario) ScenarioConfig(seed int64) ScenarioConfig {
 	if c.NodesPerShard > 0 {
 		scfg.Nodes = c.NodesPerShard
 	}
-	if c.ShardAreaM > 0 {
-		scfg.AreaM = c.ShardAreaM
-	}
-	scfg.Mix = c.Mix
 	return scfg
 }

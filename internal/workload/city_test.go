@@ -15,7 +15,7 @@ func TestCityRateCalibration(t *testing.T) {
 	cities := []CityScenario{
 		{Rows: 2, Cols: 4, TotalRate: 0.8, Profile: CityUniform},
 		{Rows: 3, Cols: 3, TotalRate: 0.45, Profile: CityHotspot, HotspotBoost: 8},
-		{Rows: 1, Cols: 5, TotalRate: 0.25, Profile: CityDiurnal, Period: 400},
+		{Rows: 1, Cols: 5, TotalRate: 0.25, Profile: CityDiurnal},
 		{Rows: 4, Cols: 4, TotalRate: 1.6, Profile: CityHotspot, HotspotBoost: 2.5},
 	}
 	for _, c := range cities {
@@ -52,7 +52,7 @@ func TestCityHotspotShape(t *testing.T) {
 // distinct phase, so the per-shard instantaneous rates peak at
 // different times while the long-run means stay calibrated.
 func TestCityDiurnalPhases(t *testing.T) {
-	c := CityScenario{Rows: 1, Cols: 4, TotalRate: 0.4, Profile: CityDiurnal, Period: 400, Amplitude: 0.9}
+	c := CityScenario{Rows: 1, Cols: 4, TotalRate: 0.4, Profile: CityDiurnal}
 	for s := 0; s < c.Shards(); s++ {
 		p, ok := c.ArrivalProcess(s).(arrival.Inhomogeneous)
 		if !ok {
@@ -62,7 +62,7 @@ func TestCityDiurnalPhases(t *testing.T) {
 		if math.Abs(d.MeanRate()-0.1) > 1e-12 {
 			t.Errorf("shard %d mean rate %g, want 0.1", s, d.MeanRate())
 		}
-		wantPhase := 400 * float64(s) / 4
+		wantPhase := 600 * float64(s) / 4
 		if d.Phase != wantPhase {
 			t.Errorf("shard %d phase %g, want %g", s, d.Phase, wantPhase)
 		}
@@ -73,7 +73,7 @@ func TestCityDiurnalPhases(t *testing.T) {
 // shared — two calls for the same shard return distinct values that
 // generate identical streams from identical rngs.
 func TestCityArrivalProcessFresh(t *testing.T) {
-	c := CityScenario{Rows: 2, Cols: 2, TotalRate: 0.4, Profile: CityDiurnal, Period: 300}
+	c := CityScenario{Rows: 2, Cols: 2, TotalRate: 0.4, Profile: CityDiurnal}
 	a := c.ArrivalProcess(1)
 	b := c.ArrivalProcess(1)
 	ra := rand.New(rand.NewSource(5))
@@ -108,9 +108,9 @@ func TestCityValidate(t *testing.T) {
 // TestCityScenarioConfig: shard neighbourhoods inherit the city's
 // population knobs and fall back to the standard defaults.
 func TestCityScenarioConfig(t *testing.T) {
-	c := CityScenario{Rows: 2, Cols: 2, TotalRate: 0.1, NodesPerShard: 24, ShardAreaM: 60}
+	c := CityScenario{Rows: 2, Cols: 2, TotalRate: 0.1, NodesPerShard: 24}
 	scfg := c.ScenarioConfig(11)
-	if scfg.Nodes != 24 || scfg.AreaM != 60 || scfg.Seed != 11 {
+	if scfg.Nodes != 24 || scfg.AreaM != 80 || scfg.Seed != 11 {
 		t.Fatalf("scenario config not derived: %+v", scfg)
 	}
 	def := CityScenario{Rows: 1, Cols: 1, TotalRate: 0.1}.ScenarioConfig(3)

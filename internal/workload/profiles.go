@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
@@ -85,19 +84,6 @@ var (
 		Bitrate: 54e6,
 	}
 )
-
-// Profiles returns the device classes in increasing capability order.
-func Profiles() []Profile { return []Profile{Phone, PDA, Laptop, AccessPoint} }
-
-// ProfileByName resolves a profile.
-func ProfileByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("workload: unknown profile %q", name)
-}
 
 // Mix is a categorical distribution over profiles.
 type Mix []WeightedProfile

@@ -121,12 +121,3 @@ func placement(cfg ScenarioConfig, rng *rand.Rand) (radio.Mobility, error) {
 	}
 	return radio.NewWaypoint(speed, 2.0, points...)
 }
-
-// ProfileCount tallies how many nodes of each profile were generated.
-func (s *Scenario) ProfileCount() map[string]int {
-	out := make(map[string]int)
-	for _, p := range s.Profiles {
-		out[p.Name]++
-	}
-	return out
-}

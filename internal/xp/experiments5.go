@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/metrics"
-	"repro/internal/qos"
 	"repro/internal/radio"
 	"repro/internal/resource"
 	"repro/internal/workload"
@@ -90,7 +89,7 @@ func E16OptimalScaling(cfg Config) (*metrics.Table, error) {
 // cycle phone, PDA, laptop so capacity grows smoothly with population.
 func e16Problem(nodes, nTasks int) (*baseline.Problem, error) {
 	svc := workload.StreamService("e16", nTasks, 1.5)
-	p := &baseline.Problem{Service: svc, Organizer: 0, GridSteps: qos.DefaultGridSteps}
+	p := &baseline.Problem{Service: svc, Organizer: 0}
 	profiles := []workload.Profile{workload.Phone, workload.PDA, workload.Laptop}
 	for i := 0; i < nodes; i++ {
 		prof := profiles[i%len(profiles)]

@@ -47,9 +47,6 @@ type Config struct {
 	TraceGroup string
 }
 
-// DefaultConfig is used by cmd/qosbench.
-var DefaultConfig = Config{Seed: 1, Repeats: 5}
-
 // Experiment is one entry of the suite.
 type Experiment struct {
 	ID    string
@@ -249,5 +246,5 @@ func snapshotProblem(sc *workload.Scenario, svc *task.Service) *baseline.Problem
 	comm := func(id radio.NodeID) float64 {
 		return sc.Cluster.Medium.TxTime(0, id, 32*1024)
 	}
-	return baseline.SnapshotProblem(svc, 0, nodes, comm, qos.DefaultGridSteps)
+	return baseline.SnapshotProblem(svc, 0, nodes, comm)
 }
