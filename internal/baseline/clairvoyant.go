@@ -24,8 +24,8 @@ type TraceSession struct {
 // admission problem the clairvoyant oracle optimizes. Node capacities
 // must be the fleet's clean capacities (no churn, no faults — the
 // oracle's accounting assumes capacity is constant over the horizon).
-// GridSteps follows the Formulate convention (<=0 selects the provider
-// default).
+// GridSteps is the ladder grid (<=0 selects qos.DefaultGridSteps, the
+// grid the protocol uses).
 type Trace struct {
 	Nodes     []NodeView
 	GridSteps int

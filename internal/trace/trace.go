@@ -15,7 +15,7 @@ import (
 // Event is one protocol transition. The JSON field order is the
 // canonical wire order of the flight recorder's JSONL output: Go
 // marshals struct fields in declaration order, so every sink that
-// marshals Events (JSONLWriter, Journal) emits byte-identical lines for
+// marshals Events (Buffer, Journal) emits byte-identical lines for
 // identical events with no map-ordering hazards.
 type Event struct {
 	// T is the emitting entity's clock, in virtual seconds.
