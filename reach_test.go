@@ -441,7 +441,11 @@ func (c *census) unwritten() []hit {
 						write(sel.X)
 					}
 				case *ast.CompositeLit:
-					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+					t := info.Types[n].Type
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem() // an elided &T in []*T{{...}}
+					}
+					st, ok := t.Underlying().(*types.Struct)
 					if !ok {
 						break
 					}
@@ -452,7 +456,7 @@ func (c *census) unwritten() []hit {
 							if f := fields[fieldOf(info.Uses[id])]; f != nil {
 								f.writes++
 							}
-						} else if f := fields[st.Field(i)]; f != nil {
+						} else if f := fields[fieldOf(st.Field(i))]; f != nil {
 							f.writes++
 						}
 					}
